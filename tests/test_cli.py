@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,11 +110,29 @@ class TestRunCommand:
         assert doc["rule"]["neighborhood"] == [-2, -1, 1, 2]
 
 
-class TestTraceDocument:
-    @pytest.mark.parametrize("rule, init", [(gk_rule(), "8,1,5"), (fp_rule(), "6")])
-    def test_json_round_trip(self, rule, init):
-        doc = TraceDocument.from_orbit(orbit(parse_literal(init), rule))
-        assert TraceDocument.from_json(doc.to_json()) == doc
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestRunJsonGolden:
+    """``run`` JSON pinned byte for byte, so its schema and layout cannot drift."""
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("run-gk-815.json", ["--rule", "gk", "--init", "8,1,5"]),
+            ("run-fp-6.json", ["--rule", "fp", "--init", "6"]),
+            (
+                "run-fp-9-radius2.json",
+                ["--rule", "fp", "--init", "9", "--neighborhood=-2,-1,1,2",
+                 "--distribution", "1,2,2,1"],
+            ),
+        ],
+        ids=["gk-8,1,5", "fp-6", "fp-9-radius2"],
+    )
+    def test_stdout_bytes(self, capsys, golden, argv):
+        code, out, _ = run_cli(capsys, "run", *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 class TestDigraphCommand:
