@@ -140,15 +140,11 @@ def nn_search(
         )
         lo = cells[0]
         span = cells[-1] - lo + 1
-        seen: set[Configuration] = set()
         for combo in itertools.product(range(value_bound + 1), repeat=len(cells)):
             vals = [0] * span
             for cell, value in zip(cells, combo):
                 vals[cell - lo] = value
             config = Configuration(vals, lo)
-            if config in seen:
-                continue
-            seen.add(config)
             value = gen1g_step(config, rule).value_at(0)
             if value < 0:
                 violations.append(NNViolation(rule, config, 0, value))
@@ -162,10 +158,7 @@ def conservation_audit(
     mismatches = []
     for c in sample:
         before = c.total()
-        if rule.kind in (RuleKind.GEN_1G, RuleKind.GEN_1G_PRIME, RuleKind.CONSTANT_G1):
-            after = gen1g_step(c, rule).total()
-        else:
-            after = step(c, rule).total()
+        after = step(c, rule).total()
         if after != before:
             mismatches.append((c, before, after))
     return mismatches

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .analysis import VERIFY_SUITES
 from .pile import (
@@ -37,9 +36,6 @@ from .sequential import (
     necessity_analysis,
 )
 
-# front-end alias for the shared literal parser
-parse_config_literal = parse_literal
-
 _MOVE_TOKENS = {
     "vr_d": MoveRule.VR_D,
     "vr_s": MoveRule.VR_S,
@@ -58,85 +54,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    t: int
-    offset: int
-    values: tuple[int, ...]
-    total: int
-
-
-@dataclass(frozen=True)
-class TraceDocument:
-    """Serializable orbit record; round-trips losslessly through JSON."""
-
-    kind: str
-    neighborhood: tuple[int, ...]
-    distribution: tuple[int, ...]
-    theta: int
-    steps: tuple[TraceStep, ...]
-    equilibrium: bool
-    transient_time: int | None
-    step_cap_reached: bool
-
-    @classmethod
-    def from_orbit(cls, trace: OrbitTrace) -> "TraceDocument":
-        return cls(
-            kind=trace.rule.kind.value,
-            neighborhood=trace.rule.neighborhood,
-            distribution=trace.rule.distribution,
-            theta=trace.rule.theta,
-            steps=tuple(
-                TraceStep(t, s.offset, s.values, total)
-                for t, (s, total) in enumerate(zip(trace.states, trace.totals))
-            ),
-            equilibrium=trace.reached_equilibrium,
-            transient_time=trace.transient_time,
-            step_cap_reached=trace.step_cap_reached,
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        obj = {
-            "rule": {
-                "kind": self.kind,
-                "neighborhood": list(self.neighborhood),
-                "distribution": list(self.distribution),
-                "theta": self.theta,
-            },
-            "steps": [
-                {
-                    "t": step.t,
-                    "offset": step.offset,
-                    "values": list(step.values),
-                    "total": step.total,
-                }
-                for step in self.steps
-            ],
-            "equilibrium": self.equilibrium,
-            "transient_time": self.transient_time,
-            "step_cap_reached": self.step_cap_reached,
-        }
-        return json.dumps(obj, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceDocument":
-        obj = json.loads(text)
-        rule = obj["rule"]
-        return cls(
-            kind=rule["kind"],
-            neighborhood=tuple(rule["neighborhood"]),
-            distribution=tuple(rule["distribution"]),
-            theta=rule["theta"],
-            steps=tuple(
-                TraceStep(s["t"], s["offset"], tuple(s["values"]), s["total"])
-                for s in obj["steps"]
-            ),
-            equilibrium=obj["equilibrium"],
-            transient_time=obj["transient_time"],
-            step_cap_reached=obj["step_cap_reached"],
-        )
 
 
 def _rule_from_args(args) -> RuleSpec:
@@ -161,6 +78,26 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _trace_json(trace: OrbitTrace) -> str:
+    rule = trace.rule
+    doc = {
+        "rule": {
+            "kind": rule.kind.value,
+            "neighborhood": rule.neighborhood,
+            "distribution": rule.distribution,
+            "theta": rule.theta,
+        },
+        "steps": [
+            {"t": t, "offset": state.offset, "values": state.values, "total": total}
+            for t, (state, total) in enumerate(zip(trace.states, trace.totals))
+        ],
+        "equilibrium": trace.reached_equilibrium,
+        "transient_time": trace.transient_time,
+        "step_cap_reached": trace.step_cap_reached,
+    }
+    return json.dumps(doc, indent=2)
+
+
 def _trace_table(trace: OrbitTrace) -> list[str]:
     supports = [s.support for s in trace.states if s.support is not None]
     lo = min([0] + [w.lo for w in supports])
@@ -183,9 +120,8 @@ def cmd_run(args) -> int:
     else:
         initial = parse_literal(args.init)
     trace = orbit(initial, rule, max_steps=args.max_steps)
-    doc = TraceDocument.from_orbit(trace)
     if args.format == "json":
-        print(doc.to_json())
+        print(_trace_json(trace))
     else:
         for line in _trace_table(trace):
             print(line)
@@ -267,7 +203,11 @@ def cmd_decompose(args) -> int:
     source = parse_literal(args.source)
     target = parse_literal(args.target)
     if args.necessity:
-        report = necessity_analysis(source, target, depth_cap=args.depth_cap)
+        if args.rules:
+            raise ValueError("--rules does not apply to --necessity, which sets the families")
+        report = necessity_analysis(
+            source, target, depth_cap=args.depth_cap, policy=_policy_from_args(args)
+        )
         for name, result in report.rows:
             verdict = "reachable" if result.reachable else "unreachable"
             if result.budget_exceeded and not result.reachable:

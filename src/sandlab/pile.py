@@ -12,6 +12,7 @@ states directly usable as dictionary keys when deduplicating search spaces.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -64,9 +65,10 @@ class _LatticeState:
     offset: int = 0
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        # operator.index accepts integers only: 2.7 raises instead of becoming 2
+        values = tuple(map(operator.index, self.values))
         self._validate(values)
-        offset = int(self.offset)
+        offset = operator.index(self.offset)
         lead = 0
         while lead < len(values) and values[lead] == 0:
             lead += 1
@@ -138,8 +140,13 @@ class HeightProfile(_LatticeState):
     """Finite-support signed integer sequence.
 
     Primarily the height-difference transform of a configuration, but also
-    the carrier for any rule whose outputs may go negative.
+    the carrier for any rule whose outputs may go negative.  Trimming drops
+    only zero cells, so every negative cell of such an output stays visible.
     """
+
+    def negative_cells(self) -> tuple[tuple[int, int], ...]:
+        """(cell, value) pairs where the profile is negative."""
+        return tuple((x, v) for x, v in self.cells() if v < 0)
 
 
 def normalize(raw_values: Iterable[int], offset: int = 0) -> Configuration:

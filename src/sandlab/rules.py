@@ -12,9 +12,12 @@ to all cells at once.  The rule families:
                      differences between adjacent columns.
 * ``sm1``         -- gated two-sided vertical rule (both directions at once).
 * ``gen1g`` / ``gen1g-prime`` / ``const-g1``
-                  -- generalized neighborhood rules whose raw images may go
-                     negative; they return untrimmed signed windows so the
+                  -- generalized neighborhood rules whose images may go
+                     negative; they return signed height profiles so the
                      caller can inspect exactly where.
+
+All seven are evaluated by one stencil kernel, ``_stencil``; the public step
+functions check their inputs and wrap its output in the right state type.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .pile import (
-    Configuration,
-    HeightProfile,
-    LatticeWindow,
-    NegativeValue,
-    _LatticeState,
-)
+from .pile import Configuration, HeightProfile, NegativeValue, _LatticeState
 
 
 def heaviside(r: int) -> int:
@@ -53,6 +50,8 @@ _FIXED_NEIGHBORHOOD_KINDS = (
 )
 
 _GENERALIZED_KINDS = (RuleKind.GEN_1G, RuleKind.GEN_1G_PRIME, RuleKind.CONSTANT_G1)
+
+_THRESHOLD_KINDS = (RuleKind.FP, RuleKind.HEIGHT_DIFF, RuleKind.CONSTANT_G1)
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,10 @@ def const_g1_rule(neighborhood=(-1, 1)) -> RuleSpec:
     return RuleSpec(RuleKind.CONSTANT_G1, tuple(neighborhood))
 
 
+_GK = gk_rule()
+_SM1 = sm1_rule()
+
+
 class NegativityWitness(ArithmeticError):
     """A rule that promises non-negative output produced a negative cell."""
 
@@ -161,32 +164,6 @@ class NegativityWitness(ArithmeticError):
         self.state = state
         self.cell = cell
         self.value = value
-
-
-@dataclass(frozen=True)
-class SignedImage:
-    """Raw, untrimmed signed output window of a generalized rule step."""
-
-    values: tuple[int, ...]
-    offset: int
-
-    def value_at(self, x: int) -> int:
-        i = x - self.offset
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return 0
-
-    def total(self) -> int:
-        return sum(self.values)
-
-    def negative_cells(self) -> tuple[tuple[int, int], ...]:
-        """(cell, value) pairs where the image went negative."""
-        return tuple(
-            (self.offset + i, v) for i, v in enumerate(self.values) if v < 0
-        )
-
-    def trimmed(self) -> HeightProfile:
-        return HeightProfile(self.values, self.offset)
 
 
 def gk_step(c: Configuration) -> Configuration:
@@ -198,13 +175,7 @@ def gk_step(c: Configuration) -> Configuration:
     """
     if c.is_zero:
         return c
-    lo, hi = c.support.lo, c.support.hi
-    v = c.value_at
-    out = [
-        v(x) + heaviside(v(x - 1) - v(x) - 2) - heaviside(v(x) - v(x + 1) - 2)
-        for x in range(lo - 1, hi + 2)
-    ]
-    return Configuration(out, lo - 1)
+    return Configuration(*_stencil(c, _GK))
 
 
 def fp_step(c: Configuration, rule: RuleSpec | None = None) -> Configuration:
@@ -220,16 +191,7 @@ def fp_step(c: Configuration, rule: RuleSpec | None = None) -> Configuration:
         raise ValueError(f"fp_step needs an fp rule, got {rule.kind.value!r}")
     if c.is_zero:
         return c
-    lo, hi = c.support.lo, c.support.hi
-    r, th, pay = rule.radius, rule.theta, rule.payout()
-    v = c.value_at
-    out = [
-        v(x)
-        - th * heaviside(v(x) - th)
-        + sum(d * heaviside(v(x + y) - th) for y, d in pay.items())
-        for x in range(lo - r, hi + r + 1)
-    ]
-    return Configuration(out, lo - r)
+    return Configuration(*_stencil(c, rule))
 
 
 def height_step(h: HeightProfile, rule: RuleSpec | None = None) -> HeightProfile:
@@ -244,13 +206,7 @@ def height_step(h: HeightProfile, rule: RuleSpec | None = None) -> HeightProfile
         raise ValueError(f"height_step needs a height rule, got {rule.kind.value!r}")
     if h.is_zero:
         return h
-    lo, hi = h.support.lo, h.support.hi
-    v = h.value_at
-    out = [
-        v(x) - 2 * heaviside(v(x) - 2) + heaviside(v(x - 1) - 2) + heaviside(v(x + 1) - 2)
-        for x in range(lo - 1, hi + 2)
-    ]
-    result = HeightProfile(out, lo - 1)
+    result = HeightProfile(*_stencil(h, rule))
     assert result.total() == h.total(), "height dynamics must preserve the sum"
     return result
 
@@ -265,60 +221,60 @@ def symmetric_step(c: Configuration) -> Configuration:
     """
     if c.is_zero:
         return c
-    lo, hi = c.support.lo, c.support.hi
-    v = c.value_at
-    cells = range(lo - 1, hi + 2)
-    out = []
-    for x in cells:
-        a = v(x)
-        nxt = (
-            a
-            + heaviside(a - v(x + 1))
-            * (heaviside(v(x - 1) - a - 2) - heaviside(a - v(x + 1) - 2))
-            + heaviside(a - v(x - 1))
-            * (-heaviside(a - v(x - 1) - 2) + heaviside(v(x + 1) - a - 2))
-        )
-        out.append(nxt)
-    for x, value in zip(cells, out):
+    out, lo = _stencil(c, _SM1)
+    for i, value in enumerate(out):
         if value < 0:
-            raise NegativityWitness(c, x, value)
-    return Configuration(out, lo - 1)
+            raise NegativityWitness(c, lo + i, value)
+    return Configuration(out, lo)
 
 
-def gen1g_step(state: _LatticeState, rule: RuleSpec) -> SignedImage:
-    """Raw one-step image of a generalized neighborhood rule.
+def gen1g_step(state: _LatticeState, rule: RuleSpec) -> HeightProfile:
+    """One-step image of a generalized neighborhood rule.
 
     gen1g:       c'(x) = c(x) + sum_y G(y) * H(G(y)*(c(x-y) - c(x)) - th)
     gen1g-prime: c'(x) = c(x) + sum_y D(y)*y * H(D(y)*y*(c(x-y) - c(x)) - th)
     const-g1:    c'(x) = c(x) + sum_y H(c(x+y) - th)
 
-    The image is returned untrimmed and signed: negative cells are data for
-    the non-negativity searcher, not an error.
+    The image is a signed :class:`HeightProfile`: negative cells are data for
+    the non-negativity searcher (see ``negative_cells``), not an error.
     """
     if rule.kind not in _GENERALIZED_KINDS:
         raise ValueError(f"gen1g_step cannot run rule kind {rule.kind.value!r}")
-    r, th, pay = rule.radius, rule.theta, rule.payout()
-    if state.is_zero:
-        window = LatticeWindow(-r, r)
+    return HeightProfile(*_stencil(state, rule))
+
+
+def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:
+    """Next values of the cells within the rule radius of the support, and the first cell.
+
+    Pads the values once and reads every neighbour as a shifted slice.  Gate forms:
+    threshold (fp, height, const-g1), c + sum_y D(y)*H(c(x+y) - th) - shed*H(c - th)
+    with shed = th, or 0 for const-g1; difference (gk, gen1g, gen1g-prime),
+    c + sum_y w(y)*H(w(y)*(c(x-y) - c) - th) with w = G for gen1g and D*y otherwise
+    (the identity for gk); and the product gate of sm1.
+    """
+    kind, r, th = rule.kind, rule.radius, rule.theta
+    width = len(state.values) + 2 * r
+    padded = [0] * (2 * r) + list(state.values) + [0] * (2 * r)
+    # padded[r + y:] holds c(x + y) from the first cell on; zip stops at the width
+    centre = padded[r : r + width]
+    if kind in _THRESHOLD_KINDS:
+        shed = 0 if kind is RuleKind.CONSTANT_G1 else th
+        fires = [v >= th for v in padded]
+        out = centre
+        for y, d in ((0, -shed), *zip(rule.neighborhood, rule.distribution)):
+            out = [v + d * f for v, f in zip(out, fires[r + y :])]
+    elif kind is RuleKind.SYMMETRIC_SM1:
+        out = [
+            a + (a >= b) * ((left - a >= th) - (a - b >= th))
+            + (a >= left) * ((b - a >= th) - (a - left >= th))
+            for left, a, b in zip(padded[r - 1 :], centre, padded[r + 1 :])
+        ]
     else:
-        window = state.support.expand(r)
-    v = state.value_at
-    out = []
-    for x in window:
-        cur = v(x)
-        if rule.kind is RuleKind.CONSTANT_G1:
-            nxt = cur + sum(heaviside(v(x + y) - th) for y in rule.neighborhood)
-        elif rule.kind is RuleKind.GEN_1G:
-            nxt = cur + sum(
-                g * heaviside(g * (v(x - y) - cur) - th) for y, g in pay.items()
-            )
-        else:
-            nxt = cur + sum(
-                d * y * heaviside(d * y * (v(x - y) - cur) - th)
-                for y, d in pay.items()
-            )
-        out.append(nxt)
-    return SignedImage(tuple(out), window.lo)
+        out = centre
+        for y, d in zip(rule.neighborhood, rule.distribution):
+            w = d if kind is RuleKind.GEN_1G else d * y
+            out = [v + w * (w * (a - c) >= th) for v, a, c in zip(out, padded[r - y :], centre)]
+    return out, state.offset - r
 
 
 class GkTripletCase(Enum):
@@ -390,18 +346,19 @@ def classify_fp_triplet(left: int, mid: int, right: int) -> FpTripletCase:
     }[gates]
 
 
+# names resolved at call time, so a wrapper bound to one (a tracer) sees every step
+_ENTRY_POINTS = {
+    RuleKind.GK: lambda state, rule: gk_step(state),
+    RuleKind.FP: lambda state, rule: fp_step(state, rule),
+    RuleKind.HEIGHT_DIFF: lambda state, rule: height_step(state, rule),
+    RuleKind.SYMMETRIC_SM1: lambda state, rule: symmetric_step(state),
+    **{kind: lambda state, rule: gen1g_step(state, rule) for kind in _GENERALIZED_KINDS},
+}
+
+
 def step(state: _LatticeState, rule: RuleSpec) -> _LatticeState:
     """Dispatch one synchronous update for any rule kind (canonical output)."""
-    kind = rule.kind
-    if kind is RuleKind.GK:
-        return gk_step(state)
-    if kind is RuleKind.FP:
-        return fp_step(state, rule)
-    if kind is RuleKind.HEIGHT_DIFF:
-        return height_step(state, rule)
-    if kind is RuleKind.SYMMETRIC_SM1:
-        return symmetric_step(state)
-    return gen1g_step(state, rule).trimmed()
+    return _ENTRY_POINTS[rule.kind](state, rule)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ configurations, so digraphs are deduplicated and deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .pile import Configuration
@@ -157,9 +157,6 @@ class TransitionDigraph:
     levels: dict[Configuration, int]
     node_cap_reached: bool
     quotient_translations: bool = False
-
-    def out_edges(self, node: Configuration):
-        return [(m, b) for a, m, b in self.edges if a == node]
 
     def __contains__(self, node: Configuration) -> bool:
         return node in self.levels
@@ -348,18 +345,22 @@ def decompose_parallel_transition(
 
 
 def _geodesics(parents, source, target, max_paths):
+    """Up to ``max_paths`` shortest paths, depth first in parent order, without recursion.
+
+    A stack entry holds a node and its path to the target as nested (move, rest) pairs.
+    """
     paths: list[tuple[SequentialMove, ...]] = []
-
-    def build(node, suffix):
-        if len(paths) >= max_paths:
-            return
+    stack = [(target, None)]
+    while stack and len(paths) < max_paths:
+        node, suffix = stack.pop()
         if node == source:
-            paths.append(tuple(reversed(suffix)))
-            return
-        for prev, move in parents[node]:
-            build(prev, suffix + [move])
-
-    build(target, [])
+            path = []
+            while suffix is not None:
+                move, suffix = suffix
+                path.append(move)
+            paths.append(tuple(path))
+        else:  # pushed reversed, so the first parent is expanded first
+            stack.extend((prev, (move, suffix)) for prev, move in reversed(parents[node]))
     return paths
 
 
@@ -389,20 +390,21 @@ def necessity_analysis(
     target: Configuration,
     depth_cap: int | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
-    hr_convention: bool = True,
-    bt_height_floor: int = 1,
+    policy: RulesetPolicy = RulesetPolicy(),
 ) -> NecessityReport:
-    """Which nested move family first reaches the target, if any."""
+    """Which nested move family first reaches the target, if any.
+
+    Each family runs under the conventions of ``policy``, with its own moves enabled.
+    """
     rows = []
     minimal = None
     for name, family in NECESSITY_FAMILIES:
-        policy = RulesetPolicy(
-            enabled=family,
-            hr_convention=hr_convention,
-            bt_height_floor=bt_height_floor,
-        )
         result = decompose_parallel_transition(
-            source, target, policy, depth_cap=depth_cap, node_cap=node_cap
+            source,
+            target,
+            replace(policy, enabled=family),
+            depth_cap=depth_cap,
+            node_cap=node_cap,
         )
         rows.append((name, result))
         if result.reachable and minimal is None:

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,21 +7,16 @@ from pathlib import Path
 
 import pytest
 
+import sandlab
 from sandlab import analysis
-from sandlab.cli import TraceDocument, main, parse_config_literal
+from sandlab.cli import main
 from sandlab.pile import parse_literal
-from sandlab.rules import fp_rule, gk_rule, orbit
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestParseConfigLiteral:
-    def test_is_the_shared_literal_parser(self):
-        assert parse_config_literal("0,1|2,1,0") == parse_literal("0,1|2,1,0")
 
 
 class TestRunCommand:
@@ -219,6 +215,30 @@ class TestDecomposeCommand:
         assert lines[2].startswith("VR+HR+BT: reachable")
         assert "minimal family: VR+HR+BT" in out
 
+    def test_necessity_honours_the_convention_flags(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "decompose", "--source", "1", "--target", "0,1",
+            "--no-hr-convention", "--necessity",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "VR: unreachable",
+            "VR+HR: reachable (shortest length 1)",
+            "VR+HR+BT: reachable (shortest length 1)",
+            "minimal family: VR+HR",
+        ]
+
+    def test_necessity_rejects_rules(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "decompose", "--source", "3", "--target", "1|1,1",
+            "--rules", "vr_d", "--necessity",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--rules" in err
+
     def test_reachable_paths(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -298,10 +318,14 @@ class TestVerifyCommand:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the same sandlab as this process, installed or not
+        paths = [str(Path(sandlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, "-m", "sandlab", "run", "--rule", "gk", "--init", "3"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["equilibrium"] is True

@@ -43,6 +43,14 @@ class TestNormalize:
         with pytest.raises(NegativeValue):
             normalize([1, -2, 3], 0)
 
+    @pytest.mark.parametrize("state_type", [Configuration, HeightProfile])
+    @pytest.mark.parametrize(
+        "values, offset", [((2.7, 1.2), 0), ((2, 1.0), 0), ((2, 1), 0.5), ((2, 1), "1")]
+    )
+    def test_rejects_non_integers(self, state_type, values, offset):
+        with pytest.raises(TypeError):
+            state_type(values, offset)
+
     @given(st.lists(st.integers(0, 9), max_size=15), st.integers(-5, 5))
     def test_idempotent(self, values, offset):
         once = normalize(values, offset)
@@ -133,6 +141,12 @@ class TestHeightProfile:
 
     def test_zero(self):
         assert height_profile(Configuration()) == HeightProfile()
+
+    def test_negative_cells_survive_trimming(self):
+        h = HeightProfile((0, -1, 3, 0, -2, 0), -2)
+        assert (h.values, h.offset) == ((-1, 3, 0, -2), -1)
+        assert h.negative_cells() == ((-1, -1), (2, -2))
+        assert HeightProfile().negative_cells() == ()
 
     @given(configurations)
     def test_telescoping_sum_is_zero(self, c):

@@ -294,6 +294,25 @@ class TestDecompose:
         assert not result.reachable
         assert result.budget_exceeded
 
+    def test_long_geodesic_is_not_bounded_by_the_recursion_limit(self):
+        # one granule slid 1500 cells: one shortest path of 1500 moves
+        policy = RulesetPolicy(enabled=frozenset({MoveRule.HR_D}), hr_convention=False)
+        result = decompose_parallel_transition(
+            Configuration((1,)), Configuration((1,), 1500), policy, depth_cap=2000
+        )
+        assert result.reachable and result.depth == 1500
+        assert result.paths == (tuple(SequentialMove(MoveRule.HR_D, x) for x in range(1500)),)
+
+    def test_paths_follow_parent_order_up_to_max_paths(self):
+        # the target's first parent, 2,1, was discovered first
+        full = decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH)
+        cut = decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH, max_paths=1)
+        assert [tuple(map(str, p)) for p in full.paths] == [
+            ("VRd@0", "VRs@0"),
+            ("VRs@0", "VRd@0"),
+        ]
+        assert cut.paths == full.paths[:1]
+
     @settings(deadline=None, max_examples=25)
     @given(small_configurations)
     def test_paths_replay_to_the_target(self, c):
@@ -330,6 +349,15 @@ class TestNecessity:
     def test_three_granules_need_only_vertical_rules(self):
         report = necessity_analysis(cfg("3"), cfg("1|1,1"))
         assert report.minimal_family == "VR"
+
+    def test_families_run_under_the_policy_conventions(self):
+        # without the horizontal freeze, a lone granule may slide right
+        report = necessity_analysis(
+            cfg("1"), cfg("0,1"), policy=RulesetPolicy(hr_convention=False)
+        )
+        assert report.minimal_family == "VR+HR"
+        assert report.result_for("VR+HR").depth == 1
+        assert necessity_analysis(cfg("1"), cfg("0,1")).minimal_family is None
 
 
 class TestSpmOrbit:
