@@ -22,6 +22,7 @@ functions check their inputs and wrap its output in the right state type.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,7 +69,8 @@ class RuleSpec:
     distribution: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        hood = tuple(int(y) for y in self.neighborhood)
+        # operator.index accepts integers only: 1.7 raises instead of becoming 1
+        hood = tuple(map(operator.index, self.neighborhood))
         if not hood:
             raise ValueError("neighborhood must be nonempty")
         if 0 in hood:
@@ -82,7 +84,7 @@ class RuleSpec:
             else:
                 dist = tuple(1 for _ in hood)
         else:
-            dist = tuple(int(d) for d in dist)
+            dist = tuple(map(operator.index, dist))
             if len(dist) != len(hood):
                 raise ValueError("distribution must align with the neighborhood")
         pairs = sorted(zip(hood, dist))

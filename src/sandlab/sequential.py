@@ -17,7 +17,6 @@ configurations, so digraphs are deduplicated and deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -40,11 +39,6 @@ class MoveRule(Enum):
     HR_S = "HRs"
     BT_D = "BTd"
     BT_S = "BTs"
-
-    @property
-    def direction(self) -> int:
-        """+1 when the granule moves right, -1 when it moves left."""
-        return 1 if self.name.endswith("_D") else -1
 
 
 RULE_ORDER: tuple[MoveRule, ...] = tuple(MoveRule)
@@ -89,38 +83,48 @@ class RulesetPolicy:
         object.__setattr__(self, "enabled", enabled)
 
 
-def _guard_holds(c: Configuration, rule: MoveRule, x: int, policy: RulesetPolicy | None) -> bool:
-    v = c.value_at
-    if rule is MoveRule.VR_D:
-        return v(x) - v(x + 1) >= 2
-    if rule is MoveRule.VR_S:
-        return v(x) - v(x - 1) >= 2
-    if rule in (MoveRule.HR_D, MoveRule.HR_S):
-        other = x + rule.direction
-        if v(x) != v(other) + 1:
+# each rule's step from the source cell to the destination cell
+_STEP = {rule: 1 if rule.name.endswith("_D") else -1 for rule in RULE_ORDER}
+
+
+def _guard(rule: MoveRule, left: int, mid: int, right: int, policy: RulesetPolicy | None) -> bool:
+    """Whether ``rule`` may fire from a cell of height ``mid`` between ``left`` and ``right``."""
+    dest = right if _STEP[rule] > 0 else left
+    if rule in VR_FAMILY:
+        return mid - dest >= 2
+    if rule in HR_FAMILY:
+        if mid != dest + 1:
             return False
         if policy is not None and policy.hr_convention:
             if policy.hr_summary_strict:
-                if (v(x - 1), v(x), v(x + 1)) == (0, 1, 0):
-                    return False
-            elif v(x) == 1:
-                return False
+                return (left, mid, right) != (0, 1, 0)
+            return mid != 1
         return True
-    # bottom-up jump onto an equal-height neighbour
+    # bottom-up jump onto an equal-height neighbour; a floor of at least 1 keeps empty cells still
     floor = policy.bt_height_floor if policy is not None else 1
-    return v(x) >= floor and v(x) == v(x + rule.direction) and v(x) >= 1
+    return mid >= floor and mid == dest
+
+
+def _successors(c: Configuration, policy: RulesetPolicy):
+    """(move, image) pairs of every applicable move, by site then rule order, in one pass."""
+    rules = [rule for rule in RULE_ORDER if rule in policy.enabled]
+    padded = (0, *c.values, 0)
+    lo = c.offset - 1  # lattice cell of padded[0]
+    out = []
+    for i in range(1, len(padded) - 1):
+        left, mid, right = padded[i - 1 : i + 2]
+        for rule in rules:
+            if _guard(rule, left, mid, right, policy):
+                vals = list(padded)
+                vals[i] -= 1
+                vals[i + _STEP[rule]] += 1
+                out.append((SequentialMove(rule, lo + i), Configuration(vals, lo)))
+    return out
 
 
 def applicable_moves(c: Configuration, policy: RulesetPolicy) -> list[SequentialMove]:
     """All moves whose guards hold, ascending by site then rule order."""
-    if c.is_zero:
-        return []
-    moves = []
-    for x in c.support:
-        for rule in RULE_ORDER:
-            if rule in policy.enabled and _guard_holds(c, rule, x, policy):
-                moves.append(SequentialMove(rule, x))
-    return moves
+    return [move for move, _ in _successors(c, policy)]
 
 
 def apply_move(
@@ -131,10 +135,10 @@ def apply_move(
     Without a policy only the move's intrinsic guard is checked; pass the
     policy in force to also enforce its conventions.
     """
-    if not _guard_holds(c, move.rule, move.site, policy):
-        raise InapplicableMove(f"{move} does not apply to {c}")
     src = move.site
-    dst = src + move.rule.direction
+    if not _guard(move.rule, c.value_at(src - 1), c.value_at(src), c.value_at(src + 1), policy):
+        raise InapplicableMove(f"{move} does not apply to {c}")
+    dst = src + _STEP[move.rule]
     lo = min(c.support.lo, dst)
     hi = max(c.support.hi, dst)
     vals = c.window_values(lo, hi)
@@ -178,6 +182,24 @@ def explore_digraph(
     """
     if node_cap < 1:
         raise ValueError("node_cap must be positive")
+    return _bfs(c0, policy, node_cap, depth_cap, quotient_translations)
+
+
+def _bfs(
+    c0: Configuration,
+    policy: RulesetPolicy,
+    node_cap: int,
+    depth_cap: int | None,
+    quotient_translations: bool = False,
+    target: Configuration | None = None,
+) -> TransitionDigraph:
+    """Breadth-first search that generates each node's successors once.
+
+    Nodes are expanded in discovery order, so a level at a time.  The search
+    stops after the level on which ``target`` appears; its digraph then lists
+    only the equilibria expanded so far.  A node at the depth cap is not
+    expanded, and sets ``node_cap_reached`` only if it has a move.
+    """
 
     def key(c: Configuration):
         return c.values if quotient_translations else c
@@ -186,16 +208,19 @@ def explore_digraph(
     levels: dict[Configuration, int] = {c0: 0}
     nodes: list[Configuration] = [c0]
     edges: list[tuple[Configuration, SequentialMove, Configuration]] = []
+    equilibria: list[Configuration] = []
     truncated = False
-    queue: deque[Configuration] = deque([c0])
-    while queue:
-        cur = queue.popleft()
-        if depth_cap is not None and levels[cur] >= depth_cap:
-            if applicable_moves(cur, policy):
-                truncated = True
+    for cur in nodes:  # the list grows as nodes are discovered: a FIFO queue
+        level = levels[cur]
+        if target in levels and level >= levels[target]:
+            break
+        successors = _successors(cur, policy)
+        if not successors:
+            equilibria.append(cur)
+        elif depth_cap is not None and level >= depth_cap:
+            truncated = True
             continue
-        for move in applicable_moves(cur, policy):
-            succ = apply_move(cur, move)
+        for move, succ in successors:
             k = key(succ)
             rep = seen.get(k)
             if rep is not None:
@@ -205,16 +230,14 @@ def explore_digraph(
                 truncated = True
                 continue
             seen[k] = succ
-            levels[succ] = levels[cur] + 1
+            levels[succ] = level + 1
             nodes.append(succ)
             edges.append((cur, move, succ))
-            queue.append(succ)
-    equilibria = tuple(n for n in nodes if not applicable_moves(n, policy))
     return TransitionDigraph(
         root=c0,
         nodes=tuple(nodes),
         edges=tuple(edges),
-        equilibria=equilibria,
+        equilibria=tuple(equilibria),
         levels=levels,
         node_cap_reached=truncated,
         quotient_translations=quotient_translations,
@@ -222,15 +245,17 @@ def explore_digraph(
 
 
 def enumerate_paths(
-    d: TransitionDigraph, target: Configuration, max_paths: int = 1000
+    d: TransitionDigraph, target: Configuration, max_paths: int | None = None
 ) -> list[tuple[SequentialMove, ...]]:
-    """All distinct simple paths root -> target, up to ``max_paths``.
+    """All distinct simple paths root -> target, or the first ``max_paths`` of them.
 
     Paths are move sequences; the empty path is returned when the target is
     the root.  An absent target yields no paths.
     """
     if target not in d.levels:
         return []
+    if target == d.root:
+        return [()]
     adjacency: dict[Configuration, list[tuple[SequentialMove, Configuration]]] = {}
     reverse: dict[Configuration, list[Configuration]] = {}
     for a, m, b in d.edges:
@@ -248,40 +273,26 @@ def enumerate_paths(
     if d.root not in ancestors:
         return []
     paths: list[tuple[SequentialMove, ...]] = []
-    # iterative DFS; each stack frame tracks which out-edge to try next
-    stack: list[tuple[Configuration, int]] = [(d.root, 0)]
-    trail: list[SequentialMove] = []
+    # iterative DFS: a frame per node on the path with its out-edge iterator
+    stack = [(d.root, iter(adjacency[d.root]))]
     on_path = {d.root}
+    trail: list[SequentialMove] = []
     while stack:
-        node, idx = stack[-1]
-        if idx == 0 and node == target:
-            paths.append(tuple(trail))
-            if len(paths) >= max_paths:
-                break
-            # simple paths cannot revisit the target, so backtrack
-            stack.pop()
-            on_path.discard(node)
-            if trail:
-                trail.pop()
-            continue
-        out = adjacency.get(node, [])
-        advanced = False
-        while idx < len(out):
-            move, succ = out[idx]
-            idx += 1
+        for move, succ in stack[-1][1]:
             if succ in on_path or succ not in ancestors:
                 continue
-            stack[-1] = (node, idx)
-            stack.append((succ, 0))
-            trail.append(move)
+            if succ == target:  # a simple path ends at the target
+                paths.append((*trail, move))
+                if max_paths is not None and len(paths) >= max_paths:
+                    return paths
+                continue
+            stack.append((succ, iter(adjacency[succ])))
             on_path.add(succ)
-            advanced = True
+            trail.append(move)
             break
-        if not advanced:
-            stack.pop()
-            on_path.discard(node)
-            if trail:
-                trail.pop()
+        else:
+            on_path.discard(stack.pop()[0])
+            del trail[-1:]  # the root's frame has no move
     return paths
 
 
@@ -314,46 +325,29 @@ def decompose_parallel_transition(
     if depth_cap is None:
         n = source.total()
         depth_cap = max(2 * n * n, 8)
-    parents: dict[Configuration, list[tuple[Configuration, SequentialMove]]] = {source: []}
-    depth = {source: 0}
-    frontier = [source]
-    budget = False
-    level = 0
-    while frontier and target not in depth and level < depth_cap:
-        nxt: list[Configuration] = []
-        for cur in frontier:
-            for move in applicable_moves(cur, policy):
-                succ = apply_move(cur, move)
-                if succ in depth:
-                    if depth[succ] == level + 1:
-                        parents[succ].append((cur, move))
-                    continue
-                if len(depth) >= node_cap:
-                    budget = True
-                    continue
-                depth[succ] = level + 1
-                parents[succ] = [(cur, move)]
-                nxt.append(succ)
-        frontier = nxt
-        level += 1
-    if target in depth:
-        paths = _geodesics(parents, source, target, max_paths)
-        return DecompositionResult(True, tuple(paths), len(depth), False, depth[target])
-    if frontier:
-        budget = True  # stopped by the depth cap with unexplored states left
-    return DecompositionResult(False, (), len(depth), budget, None)
+    d = _bfs(source, policy, node_cap, depth_cap, target=target)
+    if target in d.levels:
+        paths = _geodesics(d, target, max_paths)
+        return DecompositionResult(True, tuple(paths), len(d.nodes), False, d.levels[target])
+    return DecompositionResult(False, (), len(d.nodes), d.node_cap_reached, None)
 
 
-def _geodesics(parents, source, target, max_paths):
+def _geodesics(d: TransitionDigraph, target: Configuration, max_paths: int):
     """Up to ``max_paths`` shortest paths, depth first in parent order, without recursion.
 
-    A stack entry holds a node and its path to the target as nested (move, rest) pairs.
+    A node's parents are the sources of its edges from the level above, in
+    discovery order.  A stack entry holds a node and its path to the target as
+    nested (move, rest) pairs.
     """
+    parents: dict[Configuration, list[tuple[Configuration, SequentialMove]]] = {}
+    for a, move, b in d.edges:
+        if d.levels[b] == d.levels[a] + 1:
+            parents.setdefault(b, []).append((a, move))
     paths: list[tuple[SequentialMove, ...]] = []
     stack = [(target, None)]
     while stack and len(paths) < max_paths:
         node, suffix = stack.pop()
-        if node == source:
+        if node == d.root:
             path = []
             while suffix is not None:
                 move, suffix = suffix
@@ -444,30 +438,14 @@ def sequential_spm_orbit(
             f"expected a unique equilibrium, found {len(digraph.equilibria)}"
         )
     equilibrium = digraph.equilibria[0]
-    adjacency: dict[Configuration, list[Configuration]] = {n: [] for n in digraph.nodes}
-    for a, _, b in digraph.edges:
-        adjacency[a].append(b)
-    lengths: dict[Configuration, frozenset[int]] = {}
-    in_progress: set[Configuration] = set()
-
-    def lengths_from(node: Configuration) -> frozenset[int]:
-        cached = lengths.get(node)
-        if cached is not None:
-            return cached
-        if node in in_progress:
+    # each VRd move raises sum(x * c(x)) by one, so edges run from one BFS level to
+    # the next: in reverse edge order a state's out-edges follow its successors' own
+    lengths: dict[Configuration, frozenset[int]] = {equilibrium: frozenset({0})}
+    for a, _, b in reversed(digraph.edges):
+        if b not in lengths:
             raise RuntimeError("cycle in a vertical-rule digraph")
-        in_progress.add(node)
-        if node == equilibrium:
-            result = frozenset({0})
-        else:
-            result = frozenset(
-                1 + n for succ in adjacency[node] for n in lengths_from(succ)
-            )
-        in_progress.discard(node)
-        lengths[node] = result
-        return result
-
-    return SpmOrbitSummary(digraph, equilibrium, lengths_from(c0))
+        lengths[a] = lengths.get(a, frozenset()) | {1 + n for n in lengths[b]}
+    return SpmOrbitSummary(digraph, equilibrium, lengths[c0])
 
 
 def mirror_image(c: Configuration) -> Configuration:

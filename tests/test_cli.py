@@ -264,6 +264,16 @@ class TestDecomposeCommand:
         assert code == 5
         assert "INCONCLUSIVE" in out
 
+    def test_depth_cap_on_equilibria_is_conclusive(self, capsys):
+        # both states within the cap are explored and 1,1 has no move
+        code, out, _ = run_cli(
+            capsys,
+            "decompose", "--source", "2", "--target", "0,2",
+            "--rules", "vr_d", "--depth-cap", "1",
+        )
+        assert code == 2
+        assert out == "NOT REACHABLE (2 states exhausted)\n"
+
     def test_trivial_empty_path(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--source", "0", "--target", "0")
         assert code == 0

@@ -413,6 +413,18 @@ class TestRuleSpec:
         with pytest.raises(ValueError):
             bad()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda: fp_rule((-1.7, 1.2), (1.9, 1)),
+            lambda: RuleSpec(RuleKind.FP, ("-1", "1")),
+        ],
+        ids=["floats", "strings"],
+    )
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            bad()
+
 
 class TestOrbit:
     def test_step_cap_flag(self):

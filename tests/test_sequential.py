@@ -243,6 +243,12 @@ class TestEnumeratePaths:
         d = explore_digraph(cfg("3"), VR_BOTH)
         assert enumerate_paths(d, cfg("9")) == []
 
+    def test_returns_every_path_by_default(self):
+        summary = sequential_spm_orbit(cfg("13"))
+        d = summary.digraph
+        paths = enumerate_paths(d, summary.equilibrium)
+        assert len(paths) == count_paths(d.edges, d.root, summary.equilibrium) == 2194
+
     def test_max_paths_truncation(self):
         d = explore_digraph(cfg("5,4,2,1"), VR_ONLY_D)
         assert len(enumerate_paths(d, cfg("4,3,2,2,1"), max_paths=2)) == 2
@@ -293,6 +299,13 @@ class TestDecompose:
         result = decompose_parallel_transition(cfg("2"), cfg("1|0,1"), FULL)
         assert not result.reachable
         assert result.budget_exceeded
+
+    def test_depth_cap_on_equilibria_is_conclusive(self):
+        # 2 -> 1,1 is the one move, and 1,1 at the cap is an equilibrium, not a frontier
+        result = decompose_parallel_transition(cfg("2"), cfg("0,2"), VR_ONLY_D, depth_cap=1)
+        assert not result.reachable
+        assert not result.budget_exceeded
+        assert result.explored_nodes == 2
 
     def test_long_geodesic_is_not_bounded_by_the_recursion_limit(self):
         # one granule slid 1500 cells: one shortest path of 1500 moves
@@ -375,6 +388,12 @@ class TestSpmOrbit:
         summary = sequential_spm_orbit(cfg("1"))
         assert summary.equilibrium == cfg("1")
         assert summary.path_lengths == frozenset({0})
+
+    def test_long_chain_is_not_bounded_by_the_recursion_limit(self):
+        # 501,499,...,1 admits one VRd move at a time: a 501-node chain
+        summary = sequential_spm_orbit(Configuration((501, *range(499, 0, -1))))
+        assert len(summary.digraph.nodes) == 501
+        assert summary.path_lengths == frozenset({500})
 
     def test_rejects_increasing_configurations(self):
         with pytest.raises(NotOrderedPartition):
