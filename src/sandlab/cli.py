@@ -36,14 +36,7 @@ from .sequential import (
     necessity_analysis,
 )
 
-_MOVE_TOKENS = {
-    "vr_d": MoveRule.VR_D,
-    "vr_s": MoveRule.VR_S,
-    "hr_d": MoveRule.HR_D,
-    "hr_s": MoveRule.HR_S,
-    "bt_d": MoveRule.BT_D,
-    "bt_s": MoveRule.BT_S,
-}
+_MOVE_TOKENS = {rule.name.lower(): rule for rule in MoveRule}
 
 _RULE_KINDS = {kind.value: kind for kind in RuleKind}
 
@@ -142,7 +135,7 @@ def _policy_from_args(args) -> RulesetPolicy:
     return RulesetPolicy(
         enabled=enabled,
         hr_convention=not args.no_hr_convention,
-        hr_summary_strict=getattr(args, "hr_summary_strict", False),
+        hr_summary_strict=args.hr_summary_strict,
         bt_height_floor=args.bt_floor,
     )
 
@@ -153,30 +146,26 @@ def _dot_escape(text: str) -> str:
 
 def _digraph_dot(d) -> list[str]:
     lines = ["digraph transitions {", "  rankdir=TB;"]
+    label = {node: _dot_escape(to_literal(node)) for node in d.nodes}
     equilibria = set(d.equilibria)
     for node in d.nodes:
-        label = _dot_escape(to_literal(node))
         extras = ' [peripheries=2]' if node in equilibria else ""
-        lines.append(f'  "{label}"{extras};')
+        lines.append(f'  "{label[node]}"{extras};')
     for a, move, b in d.edges:
-        lines.append(
-            f'  "{_dot_escape(to_literal(a))}" -> "{_dot_escape(to_literal(b))}"'
-            f' [label="{move}"];'
-        )
+        lines.append(f'  "{label[a]}" -> "{label[b]}" [label="{move}"];')
     lines.append("}")
     return lines
 
 
 def _digraph_json(d) -> str:
+    # every edge end, equilibrium and level key is a node: render each literal once
+    literal = {n: to_literal(n) for n in d.nodes}
     obj = {
-        "root": to_literal(d.root),
-        "nodes": [to_literal(n) for n in d.nodes],
-        "edges": [
-            {"from": to_literal(a), "move": str(m), "to": to_literal(b)}
-            for a, m, b in d.edges
-        ],
-        "equilibria": [to_literal(n) for n in d.equilibria],
-        "levels": {to_literal(n): level for n, level in d.levels.items()},
+        "root": literal[d.root],
+        "nodes": list(literal.values()),
+        "edges": [{"from": literal[a], "move": str(m), "to": literal[b]} for a, m, b in d.edges],
+        "equilibria": [literal[n] for n in d.equilibria],
+        "levels": {literal[n]: level for n, level in d.levels.items()},
         "node_cap_reached": d.node_cap_reached,
     }
     return json.dumps(obj, indent=2)
@@ -243,6 +232,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max is not None and args.n_max < 0:
+        raise ValueError(f"--n-max must be non-negative, got {args.n_max}")
     suite = VERIFY_SUITES[args.suite]
     env_seed = os.environ.get("SANDLAB_SEED")
     seed = int(env_seed) if env_seed is not None else args.seed
@@ -276,26 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("json", "table"), default="json")
     run.set_defaults(func=cmd_run)
 
-    digraph = sub.add_parser("digraph", help="explore a sequential transition digraph")
+    policy_flags = argparse.ArgumentParser(add_help=False)
+    policy_flags.add_argument("--rules", help="comma-separated move tokens, e.g. 'vr_d,vr_s'")
+    policy_flags.add_argument("--no-hr-convention", action="store_true")
+    policy_flags.add_argument("--hr-summary-strict", action="store_true")
+    policy_flags.add_argument("--bt-floor", type=int, choices=(1, 2), default=1)
+
+    digraph = sub.add_parser(
+        "digraph", parents=[policy_flags], help="explore a sequential transition digraph"
+    )
     digraph.add_argument("--init", required=True)
-    digraph.add_argument("--rules", help="comma-separated move tokens, e.g. 'vr_d,vr_s'")
-    digraph.add_argument("--no-hr-convention", action="store_true")
-    digraph.add_argument("--hr-summary-strict", action="store_true")
-    digraph.add_argument("--bt-floor", type=int, choices=(1, 2), default=1)
     digraph.add_argument("--quotient-translations", action="store_true")
     digraph.add_argument("--node-cap", type=int, default=10**6)
     digraph.add_argument("--out", choices=("dot", "json"), default="dot")
     digraph.set_defaults(func=cmd_digraph)
 
     decompose = sub.add_parser(
-        "decompose", help="search for move sequences realizing a transition"
+        "decompose",
+        parents=[policy_flags],
+        help="search for move sequences realizing a transition",
     )
     decompose.add_argument("--source", required=True)
     decompose.add_argument("--target", required=True)
-    decompose.add_argument("--rules")
-    decompose.add_argument("--no-hr-convention", action="store_true")
-    decompose.add_argument("--hr-summary-strict", action="store_true")
-    decompose.add_argument("--bt-floor", type=int, choices=(1, 2), default=1)
     decompose.add_argument("--necessity", action="store_true")
     decompose.add_argument("--depth-cap", type=int, default=None)
     decompose.add_argument("--max-paths", type=int, default=16)

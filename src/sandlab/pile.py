@@ -105,8 +105,11 @@ class _LatticeState:
         return 0
 
     def window_values(self, lo: int, hi: int) -> list[int]:
-        """Cell values over the inclusive range [lo, hi]."""
-        return [self.value_at(x) for x in range(lo, hi + 1)]
+        """Cell values over the inclusive range [lo, hi], as one zero-padded slice."""
+        i, j, n = lo - self.offset, hi + 1 - self.offset, len(self.values)
+        # stored indices i..j-1: zeros left of 0, the stored slice, zeros from n on
+        left, right = min(j, 0) - min(i, 0), max(j, n) - max(i, n)
+        return [0] * left + list(self.values[max(i, 0) : max(j, 0)]) + [0] * right
 
     def total(self) -> int:
         return sum(self.values)
@@ -168,11 +171,8 @@ def height_profile(c: Configuration) -> HeightProfile:
 
     For a finite-support configuration the entries telescope to zero.
     """
-    if c.is_zero:
-        return HeightProfile()
-    lo, hi = c.support.lo, c.support.hi
-    diffs = [c.value_at(x) - c.value_at(x + 1) for x in range(lo - 1, hi + 1)]
-    return HeightProfile(diffs, lo - 1)
+    padded = (0, *c.values, 0)
+    return HeightProfile([a - b for a, b in zip(padded, padded[1:])], c.offset - 1)
 
 
 def shift(state: _LatticeState, a: int):
@@ -187,10 +187,7 @@ def translation_equivalent(c1: _LatticeState, c2: _LatticeState) -> bool:
 
 def is_gk_stable(c: Configuration) -> bool:
     """No critical jump anywhere: c(x) - c(x+1) <= 1 for every x."""
-    if c.is_zero:
-        return True
-    lo, hi = c.support.lo, c.support.hi
-    return all(c.value_at(x) - c.value_at(x + 1) <= 1 for x in range(lo, hi + 1))
+    return all(a - b <= 1 for a, b in zip(c.values, (*c.values[1:], 0)))
 
 
 def is_fp_stable(c: Configuration) -> bool:
@@ -276,9 +273,8 @@ def to_literal(state: _LatticeState, window: LatticeWindow | None = None) -> str
     ):
         raise ValueError("window does not cover the support")
     # cell 0 anchors the origin marker, so the rendered range always includes it
-    lo, hi = min(window.lo, 0), max(window.hi, 0)
-    left = [str(state.value_at(x)) for x in range(lo, 0)]
-    right = [str(state.value_at(x)) for x in range(0, hi + 1)]
-    if left:
-        return ",".join(left) + "|" + ",".join(right)
-    return ",".join(right)
+    lo = min(window.lo, 0)
+    cells = [str(v) for v in state.window_values(lo, max(window.hi, 0))]
+    if lo:
+        return ",".join(cells[:-lo]) + "|" + ",".join(cells[-lo:])
+    return ",".join(cells)

@@ -109,14 +109,16 @@ class RuleSpec:
 
     @property
     def theta(self) -> int:
-        """Stability threshold of the rule."""
-        if self.kind in (RuleKind.FP, RuleKind.CONSTANT_G1):
+        """Stability threshold: sum of D for the threshold kinds, sum of |w| for the others."""
+        if self.kind in _THRESHOLD_KINDS:
             return sum(self.distribution)
+        return sum(map(abs, self._weights()))
+
+    def _weights(self) -> tuple[int, ...]:
+        """Difference-gate weight w(y) per offset: G for gen1g, D*y otherwise (y for gk, sm1)."""
         if self.kind is RuleKind.GEN_1G:
-            return sum(abs(g) for g in self.distribution)
-        if self.kind is RuleKind.GEN_1G_PRIME:
-            return sum(abs(d * y) for y, d in zip(self.neighborhood, self.distribution))
-        return 2
+            return self.distribution
+        return tuple(d * y for y, d in zip(self.neighborhood, self.distribution))
 
     @property
     def radius(self) -> int:
@@ -251,8 +253,8 @@ def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:
     Pads the values once and reads every neighbour as a shifted slice.  Gate forms:
     threshold (fp, height, const-g1), c + sum_y D(y)*H(c(x+y) - th) - shed*H(c - th)
     with shed = th, or 0 for const-g1; difference (gk, gen1g, gen1g-prime),
-    c + sum_y w(y)*H(w(y)*(c(x-y) - c) - th) with w = G for gen1g and D*y otherwise
-    (the identity for gk); and the product gate of sm1.
+    c + sum_y w(y)*H(w(y)*(c(x-y) - c) - th) with w from ``RuleSpec._weights``;
+    and the product gate of sm1.
     """
     kind, r, th = rule.kind, rule.radius, rule.theta
     width = len(state.values) + 2 * r
@@ -273,8 +275,7 @@ def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:
         ]
     else:
         out = centre
-        for y, d in zip(rule.neighborhood, rule.distribution):
-            w = d if kind is RuleKind.GEN_1G else d * y
+        for y, w in zip(rule.neighborhood, rule._weights()):
             out = [v + w * (w * (a - c) >= th) for v, a, c in zip(out, padded[r - y :], centre)]
     return out, state.offset - r
 

@@ -17,6 +17,7 @@ configurations, so digraphs are deduplicated and deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -78,9 +79,15 @@ class RulesetPolicy:
         enabled = frozenset(self.enabled)
         if not enabled:
             raise ValueError("policy must enable at least one rule")
-        if self.bt_height_floor < 1:
+        for rule in enabled:
+            if not isinstance(rule, MoveRule):
+                raise TypeError(f"enabled rules must be MoveRule members, got {rule!r}")
+        # operator.index accepts integers only: 1.5 raises instead of acting as 2
+        floor = operator.index(self.bt_height_floor)
+        if floor < 1:
             raise ValueError("bt_height_floor must be at least 1")
         object.__setattr__(self, "enabled", enabled)
+        object.__setattr__(self, "bt_height_floor", floor)
 
 
 # each rule's step from the source cell to the destination cell
@@ -105,6 +112,14 @@ def _guard(rule: MoveRule, left: int, mid: int, right: int, policy: RulesetPolic
     return mid >= floor and mid == dest
 
 
+def _image(padded: tuple[int, ...], i: int, rule: MoveRule, lo: int) -> Configuration:
+    """The state after ``rule`` moves a granule from ``padded[i]``; ``padded[0]`` is cell ``lo``."""
+    vals = list(padded)
+    vals[i] -= 1
+    vals[i + _STEP[rule]] += 1
+    return Configuration(vals, lo)
+
+
 def _successors(c: Configuration, policy: RulesetPolicy):
     """(move, image) pairs of every applicable move, by site then rule order, in one pass."""
     rules = [rule for rule in RULE_ORDER if rule in policy.enabled]
@@ -115,10 +130,7 @@ def _successors(c: Configuration, policy: RulesetPolicy):
         left, mid, right = padded[i - 1 : i + 2]
         for rule in rules:
             if _guard(rule, left, mid, right, policy):
-                vals = list(padded)
-                vals[i] -= 1
-                vals[i + _STEP[rule]] += 1
-                out.append((SequentialMove(rule, lo + i), Configuration(vals, lo)))
+                out.append((SequentialMove(rule, lo + i), _image(padded, i, rule, lo)))
     return out
 
 
@@ -135,16 +147,13 @@ def apply_move(
     Without a policy only the move's intrinsic guard is checked; pass the
     policy in force to also enforce its conventions.
     """
-    src = move.site
-    if not _guard(move.rule, c.value_at(src - 1), c.value_at(src), c.value_at(src + 1), policy):
+    padded = (0, *c.values, 0)
+    lo = c.offset - 1  # lattice cell of padded[0]
+    i = move.site - lo
+    # every guard needs a granule at the site, so a site off the support never applies
+    if not (0 < i < len(padded) - 1 and _guard(move.rule, *padded[i - 1 : i + 2], policy)):
         raise InapplicableMove(f"{move} does not apply to {c}")
-    dst = src + _STEP[move.rule]
-    lo = min(c.support.lo, dst)
-    hi = max(c.support.hi, dst)
-    vals = c.window_values(lo, hi)
-    vals[src - lo] -= 1
-    vals[dst - lo] += 1
-    return Configuration(vals, lo)
+    return _image(padded, i, move.rule, lo)
 
 
 DEFAULT_NODE_CAP = 10**6

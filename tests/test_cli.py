@@ -320,6 +320,13 @@ class TestVerifyCommand:
         assert code == 6
         assert "FAIL broken" in out
 
+    @pytest.mark.parametrize("suite", sorted(analysis.VERIFY_SUITES))
+    def test_negative_n_max_is_rejected(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "-3")
+        assert code == 1
+        assert "--n-max must be non-negative" in err
+        assert not re.search(r"^(PASS|FAIL) ", out, re.MULTILINE)
+
     def test_output_is_deterministic(self, capsys):
         first = run_cli(capsys, "verify", "--suite", "commutation", "--n-max", "50")
         second = run_cli(capsys, "verify", "--suite", "commutation", "--n-max", "50")

@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import boolean_configurations, cfg, configurations
+from conftest import (
+    boolean_configurations,
+    cfg,
+    configurations,
+    height_profiles,
+    small_configurations,
+)
 from sandlab.pile import (
     Configuration,
     HeightProfile,
@@ -209,6 +215,71 @@ class TestStabilityPredicates:
         assert is_perfect_support(cfg("5,4,2,1"))
         assert not is_perfect_support(cfg("2,0,2"))
         assert not is_perfect_support(Configuration())
+
+
+def _near(state, margin):
+    """Cells from ``margin`` left of the stored window to ``margin`` right of it."""
+    return range(state.offset - margin, state.offset + len(state.values) + margin)
+
+
+def _literal_by_cells(state, window):
+    """The literal written cell by cell: '|' before cell 0 when cells left of it are shown."""
+    lo, hi = min(window.lo, 0), max(window.hi, 0)
+    pieces = []
+    for x in range(lo, hi + 1):
+        if x > lo:
+            pieces.append("|" if x == 0 else ",")
+        pieces.append(str(state.value_at(x)))
+    return "".join(pieces)
+
+
+class TestSliceReads:
+    """Slice-based cell reads against per-cell definitions over ``value_at``."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, expected",
+        [
+            (-4, -2, [0, 0, 0]),  # left of the support
+            (-1, 1, [0, 5, 0]),  # straddling its left end
+            (1, 2, [0, 3]),  # inside it
+            (0, 2, [5, 0, 3]),  # exactly the support
+            (2, 4, [3, 0, 0]),  # straddling its right end
+            (5, 6, [0, 0]),  # right of it
+            (-1, 3, [0, 5, 0, 3, 0]),  # around it
+        ],
+    )
+    def test_pinned_windows(self, lo, hi, expected):
+        assert cfg("5,0,3").window_values(lo, hi) == expected
+
+    @pytest.mark.parametrize("lo, hi", [(-3, -1), (-1, 1), (0, 0), (2, 5)])
+    def test_zero_state_reads_zeros(self, lo, hi):
+        assert Configuration().window_values(lo, hi) == [0] * (hi - lo + 1)
+
+    @given(st.one_of(small_configurations, height_profiles))
+    def test_window_values_matches_value_at(self, state):
+        # every window with both ends within 4 cells of the stored window (empty ones too)
+        cells = _near(state, 4)
+        for lo in cells:
+            for hi in range(lo - 1, cells.stop):
+                assert state.window_values(lo, hi) == [state.value_at(x) for x in range(lo, hi + 1)]
+
+    @given(small_configurations)
+    def test_height_profile_matches_the_cell_differences(self, c):
+        cells = _near(c, 3)
+        diffs = [c.value_at(x) - c.value_at(x + 1) for x in cells]
+        assert height_profile(c) == HeightProfile(diffs, cells.start)
+
+    @given(small_configurations)
+    def test_is_gk_stable_matches_the_cell_differences(self, c):
+        assert is_gk_stable(c) == all(c.value_at(x) - c.value_at(x + 1) <= 1 for x in _near(c, 3))
+
+    @given(st.one_of(small_configurations, height_profiles), st.integers(0, 4), st.integers(0, 4))
+    def test_to_literal_matches_the_cells(self, state, left, right):
+        stored = _near(state, 0)  # empty for the zero state
+        window = LatticeWindow(stored.start - left, max(stored.stop - 1, stored.start) + right)
+        assert to_literal(state, window) == _literal_by_cells(state, window)
+        if state.values:
+            assert to_literal(state) == _literal_by_cells(state, state.support)
 
 
 class TestLatticeWindow:

@@ -391,6 +391,13 @@ class TestRuleSpec:
         assert gen1g_rule((-3, 3)).theta == 6
         assert gen1g_prime_rule((-2, 2)).theta == 4
         assert const_g1_rule((-2, -1, 1, 2)).theta == 4
+        # the stencil oracle reads rule.theta, so the thresholds are pinned here
+        assert sm1_rule().theta == 2
+        assert height_rule().theta == 2
+        assert fp_rule((-2, -1, 1, 2), (1, 2, 2, 1)).theta == 6
+        assert gen1g_rule((-2, 1), (5, -4)).theta == 9
+        assert gen1g_prime_rule((-2, 1), (3, 4)).theta == 10
+        assert const_g1_rule((-2, 1, 3)).theta == 3
 
     def test_sorts_neighborhood_with_distribution(self):
         rule = fp_rule((2, -1), (5, 3))

@@ -100,6 +100,19 @@ class TestConventions:
                 assert c.value_at(move.site) >= 2
 
 
+class TestRulesetPolicy:
+    def test_rejects_a_non_integer_bt_floor(self):
+        # a float floor of 1.5 used to act as a floor of 2
+        with pytest.raises(TypeError):
+            RulesetPolicy(bt_height_floor=1.5)
+
+    @pytest.mark.parametrize("enabled", [{"VRd"}, {MoveRule.VR_D, "vr_s"}, {0}])
+    def test_rejects_enabled_members_that_are_not_move_rules(self, enabled):
+        # a string member used to enable nothing, so every state was an equilibrium
+        with pytest.raises(TypeError):
+            RulesetPolicy(enabled=frozenset(enabled))
+
+
 class TestApplyMove:
     @pytest.mark.parametrize(
         "source, move, target",
