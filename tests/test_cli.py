@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sandlab
-from sandlab import analysis
+from sandlab import analysis, rules
 from sandlab.cli import main
 from sandlab.pile import parse_literal
 
@@ -74,6 +74,28 @@ class TestRunCommand:
         doc = json.loads(out)
         assert doc["steps"][-1]["values"] == [-3, 1, 1, 1]
 
+    @pytest.mark.parametrize("fail_at", [0, 3, 8])
+    def test_no_silent_half_document(self, capsys, monkeypatch, fail_at):
+        # a bad cap is rejected before anything is written
+        code, out, err = run_cli(capsys, "run", "--rule", "fp", "--init", "6", "--max-steps", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        # a step that fails mid-orbit leaves a document that does not parse
+        real_step, calls = rules.step, []
+
+        def failing_step(state, rule):
+            if len(calls) == fail_at:
+                raise ValueError("synthetic step failure")
+            calls.append(state)
+            return real_step(state, rule)
+
+        monkeypatch.setattr(rules, "step", failing_step)
+        code, out, err = run_cli(capsys, "run", "--rule", "fp", "--init", "6")
+        assert code != 0
+        assert "error: synthetic step failure" in err
+        with pytest.raises(ValueError):
+            json.loads(out)
+
     def test_bad_literal_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "run", "--rule", "gk", "--init", "1|")
         assert code == 1
@@ -113,21 +135,52 @@ class TestRunJsonGolden:
     """``run`` JSON pinned byte for byte, so its schema and layout cannot drift."""
 
     @pytest.mark.parametrize(
-        "golden, argv",
+        "golden, argv, exit_code",
         [
-            ("run-gk-815.json", ["--rule", "gk", "--init", "8,1,5"]),
-            ("run-fp-6.json", ["--rule", "fp", "--init", "6"]),
+            ("run-gk-815.json", ["--rule", "gk", "--init", "8,1,5"], 0),
+            ("run-fp-6.json", ["--rule", "fp", "--init", "6"], 0),
             (
                 "run-fp-9-radius2.json",
                 ["--rule", "fp", "--init", "9", "--neighborhood=-2,-1,1,2",
                  "--distribution", "1,2,2,1"],
+                0,
             ),
+            ("run-gk-zero.json", ["--rule", "gk", "--init", "0"], 0),
+            ("run-gk-6-step-cap.json", ["--rule", "gk", "--init", "6", "--max-steps", "1"], 3),
+            (
+                "run-gen1g-2-negative.json",
+                ["--rule", "gen1g", "--init", "2", "--neighborhood=-3,3", "--max-steps", "5"],
+                3,
+            ),
+            ("run-height-6.json", ["--rule", "height", "--init=-6|6"], 0),
         ],
-        ids=["gk-8,1,5", "fp-6", "fp-9-radius2"],
+        ids=["gk-8,1,5", "fp-6", "fp-9-radius2", "zero", "step-cap", "negative", "height"],
     )
-    def test_stdout_bytes(self, capsys, golden, argv):
+    def test_stdout_bytes(self, capsys, golden, argv, exit_code):
         code, out, _ = run_cli(capsys, "run", *argv)
-        assert code == 0
+        assert code == exit_code
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+class TestDigraphJsonGolden:
+    """``digraph --out json`` pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "golden, argv, exit_code",
+        [
+            ("digraph-5421-vrd.json", ["--init", "5,4,2,1", "--rules", "vr_d"], 0),
+            (
+                "digraph-3-vr-hr-quotient.json",
+                ["--init", "3", "--rules", "vr_d,vr_s,hr_d,hr_s", "--quotient-translations"],
+                0,
+            ),
+            ("digraph-6-node-cap-1.json", ["--init", "6", "--node-cap", "1"], 4),
+        ],
+        ids=["5421-vrd", "3-quotient", "node-cap-1"],
+    )
+    def test_stdout_bytes(self, capsys, golden, argv, exit_code):
+        code, out, _ = run_cli(capsys, "digraph", *argv, "--out", "json")
+        assert code == exit_code
         assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
