@@ -16,6 +16,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .analysis import VERIFY_SUITES
 from .pile import (
@@ -26,7 +28,7 @@ from .pile import (
     parse_literal,
     to_literal,
 )
-from .rules import OrbitTrace, RuleKind, RuleSpec, orbit
+from .rules import OrbitTrace, RuleKind, RuleSpec, orbit, orbit_states
 from .sequential import (
     ALL_RULES,
     MoveRule,
@@ -71,24 +73,73 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _trace_json(trace: OrbitTrace) -> str:
-    rule = trace.rule
-    doc = {
-        "rule": {
-            "kind": rule.kind.value,
-            "neighborhood": rule.neighborhood,
-            "distribution": rule.distribution,
-            "theta": rule.theta,
-        },
-        "steps": [
-            {"t": t, "offset": state.offset, "values": state.values, "total": total}
-            for t, (state, total) in enumerate(zip(trace.states, trace.totals))
-        ],
-        "equilibrium": trace.reached_equilibrium,
-        "transient_time": trace.transient_time,
-        "step_cap_reached": trace.step_cap_reached,
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value that sits behind ``pad``, a newline and indent."""
+    if isinstance(value, str):
+        return _json_string(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int}:  # cell values, the bulk of a trace
+            items = list(map(int.__repr__, value))
+        else:
+            items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _write_json(fields) -> None:
+    """Write the object of ``fields``, (key, value) pairs, as ``print(json.dumps(obj, indent=2))``.
+
+    The pairs are drawn one at a time, each after the previous value is
+    written, and a value that is an iterator is written as an array item by
+    item; so a document can stream, and its later fields can depend on what
+    its earlier ones consumed.
+    """
+    write = sys.stdout.write
+    lead = "{"
+    for key, value in fields:
+        write(f"{lead}\n  {_json_string(key)}: ")
+        lead = ","
+        if isinstance(value, Iterator):
+            opened = False
+            for item in value:
+                write(("," if opened else "[") + "\n    " + _json_text(item, "\n    "))
+                opened = True
+            write("\n  ]" if opened else "[]")
+        else:
+            write(_json_text(value, "\n  "))
+    write("\n}\n")
+
+
+def _run_fields(rule: RuleSpec, states, last: dict):
+    """The ``run`` document's fields, stepping the orbit as its steps are written.
+
+    ``states`` yields ``(state, fixed)`` as ``orbit_states`` does; the final
+    step's index and flag go to ``last``, which the trailer and the caller read.
+    """
+    yield "rule", {
+        "kind": rule.kind.value,
+        "neighborhood": rule.neighborhood,
+        "distribution": rule.distribution,
+        "theta": rule.theta,
     }
-    return json.dumps(doc, indent=2)
+    yield "steps", _step_records(states, last)
+    yield "equilibrium", last["fixed"]
+    yield "transient_time", last["t"] if last["fixed"] else None
+    yield "step_cap_reached", not last["fixed"]
+
+
+def _step_records(states, last: dict):
+    for t, (state, fixed) in enumerate(states):
+        yield {"t": t, "offset": state.offset, "values": state.values, "total": state.total()}
+    last.update(t=t, fixed=fixed)
 
 
 def _trace_table(trace: OrbitTrace) -> list[str]:
@@ -112,13 +163,14 @@ def cmd_run(args) -> int:
         initial = parse_height_literal(args.init)
     else:
         initial = parse_literal(args.init)
-    trace = orbit(initial, rule, max_steps=args.max_steps)
-    if args.format == "json":
-        print(_trace_json(trace))
-    else:
+    if args.format == "table":  # the rows share one window, so the whole orbit comes first
+        trace = orbit(initial, rule, max_steps=args.max_steps)
         for line in _trace_table(trace):
             print(line)
-    return 3 if trace.step_cap_reached else 0
+        return 3 if trace.step_cap_reached else 0
+    last = {}
+    _write_json(_run_fields(rule, orbit_states(initial, rule, args.max_steps), last))
+    return 0 if last["fixed"] else 3
 
 
 def _policy_from_args(args) -> RulesetPolicy:
@@ -157,18 +209,15 @@ def _digraph_dot(d) -> list[str]:
     return lines
 
 
-def _digraph_json(d) -> str:
+def _digraph_fields(d):
     # every edge end, equilibrium and level key is a node: render each literal once
     literal = {n: to_literal(n) for n in d.nodes}
-    obj = {
-        "root": literal[d.root],
-        "nodes": list(literal.values()),
-        "edges": [{"from": literal[a], "move": str(m), "to": literal[b]} for a, m, b in d.edges],
-        "equilibria": [literal[n] for n in d.equilibria],
-        "levels": {literal[n]: level for n, level in d.levels.items()},
-        "node_cap_reached": d.node_cap_reached,
-    }
-    return json.dumps(obj, indent=2)
+    yield "root", literal[d.root]
+    yield "nodes", list(literal.values())
+    yield "edges", ({"from": literal[a], "move": str(m), "to": literal[b]} for a, m, b in d.edges)
+    yield "equilibria", [literal[n] for n in d.equilibria]
+    yield "levels", {literal[n]: level for n, level in d.levels.items()}
+    yield "node_cap_reached", d.node_cap_reached
 
 
 def cmd_digraph(args) -> int:
@@ -181,7 +230,7 @@ def cmd_digraph(args) -> int:
         quotient_translations=args.quotient_translations,
     )
     if args.out == "json":
-        print(_digraph_json(d))
+        _write_json(_digraph_fields(d))
     else:
         for line in _digraph_dot(d):
             print(line)
@@ -232,8 +281,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max is not None and args.n_max < 0:
-        raise ValueError(f"--n-max must be non-negative, got {args.n_max}")
+    if args.n_max is not None and args.n_max < 1:
+        raise ValueError(f"--n-max must be positive, got {args.n_max}")
     suite = VERIFY_SUITES[args.suite]
     env_seed = os.environ.get("SANDLAB_SEED")
     seed = int(env_seed) if env_seed is not None else args.seed

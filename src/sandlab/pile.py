@@ -47,14 +47,8 @@ class LatticeWindow:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.lo, self.hi + 1))
-
     def __contains__(self, x: int) -> bool:
         return self.lo <= x <= self.hi
-
-    def expand(self, margin: int) -> "LatticeWindow":
-        return LatticeWindow(self.lo - margin, self.hi + margin)
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,13 @@ def is_gk_stable(c: Configuration) -> bool:
 
 
 def is_fp_stable(c: Configuration) -> bool:
-    """Every cell holds 0 or 1 granules (Boolean configuration)."""
+    """Every cell holds 0 or 1 granules (Boolean configuration).
+
+    This is fixedness under the default fp rule only, whose threshold is 2.
+    A state is fixed under an fp rule exactly when every cell is below its
+    threshold sum(D): ``5,5,0,5`` is fixed under
+    ``fp_rule((-2, -1, 1, 2), (1, 2, 2, 1))``, where it is 6, yet is not Boolean.
+    """
     return all(v in (0, 1) for v in c.values)
 
 

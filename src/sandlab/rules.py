@@ -7,7 +7,8 @@ to all cells at once.  The rule families:
                      across any jump of at least two.  Conserves the total.
 * ``fp``          -- threshold redistribution: a cell at or above the
                      threshold sheds it and collects payouts from unstable
-                     neighbours.  Non-negative, but not conservative.
+                     neighbours.  Non-negative and conservative: a firing
+                     cell sheds th = sum(D) and pays sum(D) out.
 * ``height``      -- the same threshold form acting on signed height
                      differences between adjacent columns.
 * ``sm1``         -- gated two-sided vertical rule (both directions at once).
@@ -23,6 +24,7 @@ functions check their inputs and wrap its output in the right state type.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -124,9 +126,6 @@ class RuleSpec:
     def radius(self) -> int:
         return max(abs(y) for y in self.neighborhood)
 
-    def payout(self) -> dict[int, int]:
-        return dict(zip(self.neighborhood, self.distribution))
-
 
 def gk_rule() -> RuleSpec:
     return RuleSpec(RuleKind.GK)
@@ -187,7 +186,9 @@ def fp_step(c: Configuration, rule: RuleSpec | None = None) -> Configuration:
 
     c'(x) = c(x) - th*H(c(x) - th) + sum_y D(y) * H(c(x+y) - th), with
     th = sum(D).  Output is provably non-negative for every configuration and
-    every finite neighborhood; the total is in general not conserved.
+    every finite neighborhood, and the total is conserved: a firing cell sheds
+    th and pays th out.  The fixed points are the states with every cell
+    below th, which are the Boolean ones only for th = 2.
     """
     if rule is None:
         rule = fp_rule()
@@ -388,28 +389,44 @@ def orbit(initial: _LatticeState, rule: RuleSpec, max_steps: int | None = None) 
     ``transient_time`` is the index of the first occurrence of the final
     (fixed-point) state, or None when the cap was reached first.
     """
-    state = _coerce_initial(initial, rule)
-    cap = default_step_cap(state) if max_steps is None else max_steps
-    if cap < 0:
-        raise ValueError("max_steps must be non-negative")
-    states = [state]
-    reached = False
-    for _ in range(cap + 1):
-        nxt = step(states[-1], rule)
-        if nxt == states[-1]:
-            reached = True
-            break
-        if len(states) > cap:
-            break
-        states.append(nxt)
+    visited = list(orbit_states(initial, rule, max_steps))
+    states = tuple(state for state, _ in visited)
+    reached = visited[-1][1]
     return OrbitTrace(
         rule=rule,
-        states=tuple(states),
+        states=states,
         totals=tuple(s.total() for s in states),
         reached_equilibrium=reached,
         transient_time=len(states) - 1 if reached else None,
         step_cap_reached=not reached,
     )
+
+
+def orbit_states(
+    initial: _LatticeState, rule: RuleSpec, max_steps: int | None = None
+) -> Iterator[tuple[_LatticeState, bool]]:
+    """The orbit of ``orbit`` one state at a time, each paired with whether it is fixed.
+
+    Yields ``(state, fixed)`` from the initial state on, and stops after the
+    first fixed point or after the state at index ``max_steps``, whose flag
+    then tells whether the cap was reached.  Only the current state is held.
+    The arguments are checked on the call, before any state is drawn.
+    """
+    state = _coerce_initial(initial, rule)
+    cap = default_step_cap(state) if max_steps is None else max_steps
+    if cap < 0:
+        raise ValueError("max_steps must be non-negative")
+    return _walk(state, rule, cap)
+
+
+def _walk(state: _LatticeState, rule: RuleSpec, cap: int) -> Iterator[tuple[_LatticeState, bool]]:
+    for _ in range(cap + 1):
+        nxt = step(state, rule)  # by module-level name, so a tracer bound to it sees every step
+        fixed = nxt == state
+        yield state, fixed
+        if fixed:
+            return
+        state = nxt
 
 
 def _coerce_initial(initial: _LatticeState, rule: RuleSpec) -> _LatticeState:

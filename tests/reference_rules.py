@@ -3,7 +3,9 @@
 A differential oracle for the stencil kernel of ``sandlab.rules``: each
 function below evaluates its rule cell by cell through ``value_at`` and shares
 no arithmetic with the kernel; ``gen1g_step`` returns the raw untrimmed
-:class:`SignedImage` window, which ``step`` trims.
+:class:`SignedImage` window, which ``step`` trims.  ``payout``, ``expand``
+and ``cells`` are the rule and window helpers these loops read; the engine
+itself needs none of them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,18 @@ class SignedImage:
         return HeightProfile(self.values, self.offset)
 
 
+def payout(rule: RuleSpec) -> dict[int, int]:
+    return dict(zip(rule.neighborhood, rule.distribution))
+
+
+def expand(window: LatticeWindow, margin: int) -> LatticeWindow:
+    return LatticeWindow(window.lo - margin, window.hi + margin)
+
+
+def cells(window: LatticeWindow) -> range:
+    return range(window.lo, window.hi + 1)
+
+
 def gk_step(c: Configuration) -> Configuration:
     """One synchronous vertical-rule update.
 
@@ -72,7 +86,7 @@ def fp_step(c: Configuration, rule: RuleSpec | None = None) -> Configuration:
 
     c'(x) = c(x) - th*H(c(x) - th) + sum_y D(y) * H(c(x+y) - th), with
     th = sum(D).  Output is provably non-negative for every configuration and
-    every finite neighborhood; the total is in general not conserved.
+    every finite neighborhood, and the total is conserved.
     """
     if rule is None:
         rule = fp_rule()
@@ -81,7 +95,7 @@ def fp_step(c: Configuration, rule: RuleSpec | None = None) -> Configuration:
     if c.is_zero:
         return c
     lo, hi = c.support.lo, c.support.hi
-    r, th, pay = rule.radius, rule.theta, rule.payout()
+    r, th, pay = rule.radius, rule.theta, payout(rule)
     v = c.value_at
     out = [
         v(x)
@@ -157,14 +171,14 @@ def gen1g_step(state: _LatticeState, rule: RuleSpec) -> SignedImage:
     """
     if rule.kind not in _GENERALIZED_KINDS:
         raise ValueError(f"gen1g_step cannot run rule kind {rule.kind.value!r}")
-    r, th, pay = rule.radius, rule.theta, rule.payout()
+    r, th, pay = rule.radius, rule.theta, payout(rule)
     if state.is_zero:
         window = LatticeWindow(-r, r)
     else:
-        window = state.support.expand(r)
+        window = expand(state.support, r)
     v = state.value_at
     out = []
-    for x in window:
+    for x in cells(window):
         cur = v(x)
         if rule.kind is RuleKind.CONSTANT_G1:
             nxt = cur + sum(heaviside(v(x + y) - th) for y in rule.neighborhood)

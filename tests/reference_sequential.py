@@ -6,13 +6,15 @@ A differential oracle for the one-guard, one-BFS core of ``sandlab.sequential``:
 and ``decompose_parallel_transition`` runs its own level loop with a parents
 map.  ``budget_exceeded`` here is set whenever the depth cap leaves a
 non-empty frontier, even one of equilibria only.  The module-level
-``direction`` stands in for the ``MoveRule.direction`` property the guard read.
+``direction`` stands in for the ``MoveRule.direction`` property the guard read,
+and ``reference_rules.cells`` for the iteration over a ``LatticeWindow``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from reference_rules import cells
 from sandlab.pile import Configuration
 from sandlab.sequential import (
     DEFAULT_NODE_CAP,
@@ -58,7 +60,7 @@ def applicable_moves(c: Configuration, policy: RulesetPolicy) -> list[Sequential
     if c.is_zero:
         return []
     moves = []
-    for x in c.support:
+    for x in cells(c.support):
         for rule in RULE_ORDER:
             if rule in policy.enabled and _guard_holds(c, rule, x, policy):
                 moves.append(SequentialMove(rule, x))

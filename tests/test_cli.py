@@ -375,10 +375,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite", sorted(analysis.VERIFY_SUITES))
     def test_negative_n_max_is_rejected(self, capsys, suite):
-        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "-3")
-        assert code == 1
-        assert "--n-max must be non-negative" in err
-        assert not re.search(r"^(PASS|FAIL) ", out, re.MULTILINE)
+        for n_max in ("-3", "0"):  # 0 would give verdicts on no cases
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", n_max)
+            assert code == 1
+            assert f"error: --n-max must be positive, got {n_max}" in err
+            assert not re.search(r"^(PASS|FAIL) ", out, re.MULTILINE)
 
     def test_output_is_deterministic(self, capsys):
         first = run_cli(capsys, "verify", "--suite", "commutation", "--n-max", "50")

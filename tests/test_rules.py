@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import boolean_configurations, cfg, configurations, height_profiles, hp, small_configurations
+from sandlab.analysis import random_fp_rule
 from sandlab.pile import (
     Configuration,
     HeightProfile,
@@ -247,6 +248,14 @@ class TestFpGeneralized:
         values = data.draw(st.lists(st.integers(0, 3 * rule.theta), max_size=12))
         c = Configuration(values, data.draw(st.integers(-5, 5)))
         fp_step(c, rule)  # Configuration construction rejects negative cells
+
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_conserves_the_total_under_random_fp_rule(self, rng, data):
+        # a firing cell sheds theta = sum(D) and pays sum(D) out to its neighbours
+        rule = random_fp_rule(rng)
+        values = data.draw(st.lists(st.integers(0, 3 * rule.theta), max_size=12))
+        c = Configuration(values, data.draw(st.integers(-5, 5)))
+        assert fp_step(c, rule).total() == c.total()
 
     def test_default_equals_unit_pair_rule(self):
         c = cfg("0,1|2,1,0")
