@@ -389,16 +389,16 @@ def orbit(initial: _LatticeState, rule: RuleSpec, max_steps: int | None = None) 
     ``transient_time`` is the index of the first occurrence of the final
     (fixed-point) state, or None when the cap was reached first.
     """
-    visited = list(orbit_states(initial, rule, max_steps))
-    states = tuple(state for state, _ in visited)
-    reached = visited[-1][1]
+    states = []
+    for state, fixed in orbit_states(initial, rule, max_steps):
+        states.append(state)
     return OrbitTrace(
         rule=rule,
-        states=states,
+        states=tuple(states),
         totals=tuple(s.total() for s in states),
-        reached_equilibrium=reached,
-        transient_time=len(states) - 1 if reached else None,
-        step_cap_reached=not reached,
+        reached_equilibrium=fixed,
+        transient_time=len(states) - 1 if fixed else None,
+        step_cap_reached=not fixed,
     )
 
 
@@ -408,8 +408,8 @@ def orbit_states(
     """The orbit of ``orbit`` one state at a time, each paired with whether it is fixed.
 
     Yields ``(state, fixed)`` from the initial state on, and stops after the
-    first fixed point or after the state at index ``max_steps``, whose flag
-    then tells whether the cap was reached.  Only the current state is held.
+    first fixed point or after the state at index ``max_steps``; a False flag
+    on the last state means the cap was reached.  Only the current state is held.
     The arguments are checked on the call, before any state is drawn.
     """
     state = _coerce_initial(initial, rule)
