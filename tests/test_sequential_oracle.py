@@ -18,6 +18,7 @@ from sandlab.sequential import (
     applicable_moves,
     apply_move,
     decompose_parallel_transition,
+    _successors,
     explore_digraph,
 )
 
@@ -31,6 +32,8 @@ policies = st.builds(
     hr_summary_strict=st.booleans(),
     bt_height_floor=st.sampled_from((1, 2)),
 )
+# hr_convention, hr_summary_strict, bt_height_floor: all a policy sets beside ``enabled``
+conventions = st.tuples(st.booleans(), st.booleans(), st.sampled_from((1, 2, 3)))
 node_caps = st.sampled_from((1, 3, 50, 400))
 depth_caps = st.sampled_from((None, 0, 1, 2, 5))
 
@@ -84,3 +87,28 @@ def test_decompose_matches_the_reference(data, source, policy, node_cap, depth_c
         # the reference flags a depth-capped frontier of equilibria only
         assert theirs.budget_exceeded
         assert not explore_digraph(source, policy, node_cap=node_cap).node_cap_reached
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(configurations, min_size=1, max_size=4),
+    st.sets(st.sampled_from(RULE_ORDER), min_size=1),
+    st.lists(conventions, min_size=2, max_size=3, unique=True),
+)
+def test_policies_that_differ_in_conventions_alone_keep_their_own_moves(
+    states, enabled, convention_sets
+):
+    """Policies that share ``enabled``, used in turn in one process, each match the reference."""
+    policies = [RulesetPolicy(enabled, *conventions) for conventions in convention_sets]
+    for c in states:
+        lo, hi = (c.support.lo, c.support.hi) if c.values else (0, 0)
+        for policy in policies:
+            moves = ref.applicable_moves(c, policy)
+            assert applicable_moves(c, policy) == moves
+            assert _successors(c, policy) == [(m, ref.apply_move(c, m, policy)) for m in moves]
+            for site in range(lo - 1, hi + 2):
+                for rule in RULE_ORDER:
+                    move = SequentialMove(rule, site)
+                    assert outcome(apply_move, c, move, policy) == outcome(
+                        ref.apply_move, c, move, policy
+                    )
