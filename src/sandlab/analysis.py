@@ -306,9 +306,9 @@ def verify_conservation(seed: int = 0, cases: int = 10_000) -> list[CheckResult]
         c = random_configuration(rng)
         if gk_step(c).total() != c.total():
             bad_gk += 1
-        for move, image in _successors(c, policy):  # the images the BFS itself explores
+        for move, values, offset in _successors(c, policy):  # the images the BFS itself explores
             move_uses[move.rule] += 1
-            if image.total() != c.total():
+            if Configuration(values, offset).total() != c.total():
                 bad_moves += 1
     checks.append(
         CheckResult("gk-conservation", bad_gk == 0, f"{cases} random configurations")

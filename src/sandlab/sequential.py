@@ -18,7 +18,7 @@ configurations, so digraphs are deduplicated and deterministic.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .pile import Configuration
@@ -74,6 +74,8 @@ class RulesetPolicy:
     hr_convention: bool = True
     hr_summary_strict: bool = False
     bt_height_floor: int = 1
+    # the move table: (left, mid, right) -> the (rule, step) pairs that fire there
+    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         enabled = frozenset(self.enabled)
@@ -94,7 +96,7 @@ class RulesetPolicy:
 _STEP = {rule: 1 if rule.name.endswith("_D") else -1 for rule in RULE_ORDER}
 
 
-def _guard(rule: MoveRule, left: int, mid: int, right: int, policy: RulesetPolicy | None) -> bool:
+def _guard(rule: MoveRule, left: int, mid: int, right: int, policy: RulesetPolicy) -> bool:
     """Whether ``rule`` may fire from a cell of height ``mid`` between ``left`` and ``right``."""
     dest = right if _STEP[rule] > 0 else left
     if rule in VR_FAMILY:
@@ -102,41 +104,66 @@ def _guard(rule: MoveRule, left: int, mid: int, right: int, policy: RulesetPolic
     if rule in HR_FAMILY:
         if mid != dest + 1:
             return False
-        if policy is not None and policy.hr_convention:
+        if policy.hr_convention:
             if policy.hr_summary_strict:
                 return (left, mid, right) != (0, 1, 0)
             return mid != 1
         return True
     # bottom-up jump onto an equal-height neighbour; a floor of at least 1 keeps empty cells still
-    floor = policy.bt_height_floor if policy is not None else 1
-    return mid >= floor and mid == dest
+    return mid >= policy.bt_height_floor and mid == dest
 
 
-def _image(padded: tuple[int, ...], i: int, rule: MoveRule, lo: int) -> Configuration:
-    """The state after ``rule`` moves a granule from ``padded[i]``; ``padded[0]`` is cell ``lo``."""
+def _moves_at(
+    triple: tuple[int, int, int], policy: RulesetPolicy
+) -> tuple[tuple[MoveRule, int], ...]:
+    """The (rule, step) pairs of the enabled rules that fire at ``triple``, in rule order.
+
+    Looked up in the policy's move table, which ``_guard`` fills the first
+    time a triple is seen.
+    """
+    moves = policy._moves.get(triple)
+    if moves is None:
+        moves = policy._moves[triple] = tuple(
+            (rule, _STEP[rule])
+            for rule in RULE_ORDER
+            if rule in policy.enabled and _guard(rule, *triple, policy)
+        )
+    return moves
+
+
+def _splice(padded: tuple[int, ...], lo: int, i: int, step: int) -> tuple[tuple[int, ...], int]:
+    """Trimmed (values, offset) after a granule moves from ``padded[i]`` to ``padded[i + step]``.
+
+    ``padded`` is a trimmed state's values with one zero added at each end,
+    and ``padded[0]`` is cell ``lo``.
+    """
     vals = list(padded)
     vals[i] -= 1
-    vals[i + _STEP[rule]] += 1
-    return Configuration(vals, lo)
+    vals[i + step] += 1
+    # only the source cell can become zero: at most two zeros to trim at either end
+    start = 0 if vals[0] else 1 if vals[1] else 2
+    stop = len(vals) - (0 if vals[-1] else 1 if vals[-2] else 2)
+    return tuple(vals[start:stop]), lo + start
 
 
 def _successors(c: Configuration, policy: RulesetPolicy):
-    """(move, image) pairs of every applicable move, by site then rule order, in one pass."""
-    rules = [rule for rule in RULE_ORDER if rule in policy.enabled]
+    """(move, values, offset) of every applicable move, by site then rule order, in one pass.
+
+    Each image is given by its trimmed values and offset; no ``Configuration``
+    is built.
+    """
     padded = (0, *c.values, 0)
     lo = c.offset - 1  # lattice cell of padded[0]
     out = []
     for i in range(1, len(padded) - 1):
-        left, mid, right = padded[i - 1 : i + 2]
-        for rule in rules:
-            if _guard(rule, left, mid, right, policy):
-                out.append((SequentialMove(rule, lo + i), _image(padded, i, rule, lo)))
+        for rule, step in _moves_at(padded[i - 1 : i + 2], policy):
+            out.append((SequentialMove(rule, lo + i), *_splice(padded, lo, i, step)))
     return out
 
 
 def applicable_moves(c: Configuration, policy: RulesetPolicy) -> list[SequentialMove]:
     """All moves whose guards hold, ascending by site then rule order."""
-    return [move for move, _ in _successors(c, policy)]
+    return [move for move, _, _ in _successors(c, policy)]
 
 
 def apply_move(
@@ -147,13 +174,21 @@ def apply_move(
     Without a policy only the move's intrinsic guard is checked; pass the
     policy in force to also enforce its conventions.
     """
+    # the move's own guard, whether its rule is enabled or not: the table of a policy
+    # that enables every rule, under no conventions when none is given
+    if policy is None:
+        policy = RulesetPolicy(hr_convention=False)
+    elif policy.enabled != ALL_RULES:
+        policy = replace(policy, enabled=ALL_RULES)
     padded = (0, *c.values, 0)
     lo = c.offset - 1  # lattice cell of padded[0]
     i = move.site - lo
     # every guard needs a granule at the site, so a site off the support never applies
-    if not (0 < i < len(padded) - 1 and _guard(move.rule, *padded[i - 1 : i + 2], policy)):
-        raise InapplicableMove(f"{move} does not apply to {c}")
-    return _image(padded, i, move.rule, lo)
+    if 0 < i < len(padded) - 1:
+        for rule, step in _moves_at(padded[i - 1 : i + 2], policy):
+            if rule is move.rule:
+                return Configuration(*_splice(padded, lo, i, step))
+    raise InapplicableMove(f"{move} does not apply to {c}")
 
 
 DEFAULT_NODE_CAP = 10**6
@@ -210,10 +245,11 @@ def _bfs(
     expanded, and sets ``node_cap_reached`` only if it has a move.
     """
 
-    def key(c: Configuration):
-        return c.values if quotient_translations else c
-
-    seen: dict[object, Configuration] = {key(c0): c0}
+    # seen is keyed by the raw (values, offset), or values when quotienting, so a
+    # Configuration is built only for a new node; its key shares the node's values
+    seen: dict[object, Configuration] = {
+        c0.values if quotient_translations else (c0.values, c0.offset): c0
+    }
     levels: dict[Configuration, int] = {c0: 0}
     nodes: list[Configuration] = [c0]
     edges: list[tuple[Configuration, SequentialMove, Configuration]] = []
@@ -229,16 +265,16 @@ def _bfs(
         elif depth_cap is not None and level >= depth_cap:
             truncated = True
             continue
-        for move, succ in successors:
-            k = key(succ)
-            rep = seen.get(k)
+        for move, values, offset in successors:
+            rep = seen.get(values if quotient_translations else (values, offset))
             if rep is not None:
                 edges.append((cur, move, rep))
                 continue
             if len(nodes) >= node_cap:
                 truncated = True
                 continue
-            seen[k] = succ
+            succ = Configuration(values, offset)
+            seen[succ.values if quotient_translations else (succ.values, offset)] = succ
             levels[succ] = level + 1
             nodes.append(succ)
             edges.append((cur, move, succ))
