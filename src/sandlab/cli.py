@@ -8,6 +8,8 @@ Exit codes
     4  digraph: node cap reached (graph still emitted)
     5  decompose: search budget exceeded, result inconclusive
     6  verify: at least one check failed
+  141  stdout was closed before the output was written (a reader such as
+       ``head`` left early); the code a shell reports for a SIGPIPE death
 """
 
 from __future__ import annotations
@@ -356,7 +358,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the output has nowhere to go; devnull takes what is left, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ParseError, NegativeValue, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

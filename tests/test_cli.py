@@ -387,16 +387,35 @@ class TestVerifyCommand:
         assert first == second
 
 
+def child_env() -> dict[str, str]:
+    """Environment for a child that imports the same sandlab as this process, installed or not."""
+    paths = [str(Path(sandlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # the child imports the same sandlab as this process, installed or not
-        paths = [str(Path(sandlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, "-m", "sandlab", "run", "--rule", "gk", "--init", "3"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["equilibrium"] is True
+
+    def test_reader_closing_the_pipe_early_gives_no_traceback(self):
+        # as `sandlab run --rule fp --init 60 | head -3`: 374 kB of JSON, far past a pipe buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sandlab", "run", "--rule", "fp", "--init", "60"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert head == [b"{\n", b'  "rule": {\n', b'    "kind": "fp",\n']
+        assert err == b""
