@@ -341,6 +341,36 @@ def enumerate_paths(
     return paths
 
 
+def count_paths(d: TransitionDigraph, target: Configuration) -> int:
+    """Number of root -> target paths: ``len(enumerate_paths(d, target))`` without a cap.
+
+    A dynamic programme over ``d.edges`` in topological order, so O(edges);
+    distinct moves between the same two states count as distinct paths.
+    Counting simple paths through cycles is #P-hard, so a digraph with a
+    cycle raises ``ValueError``.  An absent target has no paths.
+    """
+    indegree = dict.fromkeys(d.nodes, 0)
+    successors: dict[Configuration, list[Configuration]] = {}
+    for a, _, b in d.edges:
+        successors.setdefault(a, []).append(b)
+        indegree[b] += 1
+    ways = dict.fromkeys(d.nodes, 0)
+    ways[d.root] = 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    ordered = 0
+    while ready:  # Kahn's algorithm: a node is final once all its in-edges are counted
+        node = ready.pop()
+        ordered += 1
+        for succ in successors.get(node, ()):
+            ways[succ] += ways[node]
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready.append(succ)
+    if ordered < len(indegree):
+        raise ValueError("the digraph has a cycle; paths are counted on acyclic digraphs only")
+    return ways.get(target, 0)
+
+
 @dataclass(frozen=True)
 class DecompositionResult:
     """Outcome of a bounded search for move sequences source -> target."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import cfg, count_paths, small_configurations
+from sandlab import sequential
 from sandlab.pile import Configuration, translation_equivalent
 from sandlab.rules import gk_rule, orbit
 from sandlab.sequential import (
@@ -238,7 +239,9 @@ class TestEnumeratePaths:
             trajectories.append([str(s) for s in states])
         for expected in CLASSIC_5421_TRAJECTORIES:
             assert expected in trajectories
-        assert len(paths) == count_paths(d.edges, d.root, cfg("4,3,2,2,1")) == 5
+        sink = cfg("4,3,2,2,1")
+        assert len(paths) == count_paths(d.edges, d.root, sink) == sequential.count_paths(d, sink)
+        assert len(paths) == 5
         extra = [t for t in trajectories if t not in CLASSIC_5421_TRAJECTORIES]
         assert extra == [FIFTH_5421_TRAJECTORY]
 
@@ -260,11 +263,35 @@ class TestEnumeratePaths:
         summary = sequential_spm_orbit(cfg("13"))
         d = summary.digraph
         paths = enumerate_paths(d, summary.equilibrium)
-        assert len(paths) == count_paths(d.edges, d.root, summary.equilibrium) == 2194
+        sink = summary.equilibrium
+        assert len(paths) == count_paths(d.edges, d.root, sink) == sequential.count_paths(d, sink)
+        assert len(paths) == 2194
 
     def test_max_paths_truncation(self):
         d = explore_digraph(cfg("5,4,2,1"), VR_ONLY_D)
         assert len(enumerate_paths(d, cfg("4,3,2,2,1"), max_paths=2)) == 2
+
+
+class TestCountPaths:
+    @settings(max_examples=50, deadline=None)
+    @given(small_configurations)
+    def test_every_node_of_a_vertical_digraph_matches_the_oracle(self, c):
+        # a vertical move lowers the sum of squared heights, so these digraphs are acyclic
+        d = explore_digraph(c, VR_BOTH, node_cap=60)
+        for node in d.nodes:
+            assert sequential.count_paths(d, node) == count_paths(d.edges, d.root, node)
+
+    def test_root_and_absent_targets(self):
+        d = explore_digraph(cfg("3"), VR_BOTH)
+        assert sequential.count_paths(d, cfg("3")) == 1
+        assert sequential.count_paths(d, cfg("9")) == 0
+
+    def test_a_cycle_raises(self):
+        # HRd then HRs takes 2,1 to 1,2 and back
+        d = explore_digraph(cfg("2,1"), RulesetPolicy(enabled=VR_FAMILY | HR_FAMILY))
+        assert d.levels[cfg("1,2")] == 1
+        with pytest.raises(ValueError, match="cycle"):
+            sequential.count_paths(d, d.equilibria[0])
 
 
 class TestDecompose:
