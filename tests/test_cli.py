@@ -356,6 +356,11 @@ class TestVerifyCommand:
         assert "PASS gk-conservation" in out
         assert "PASS const-g1-violation" in out
 
+    def test_shapes_stdout_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "shapes")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "verify-shapes.txt").read_bytes()
+
     def test_env_seed_overrides_the_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("SANDLAB_SEED", "42")
         code, out, _ = run_cli(
