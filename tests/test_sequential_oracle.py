@@ -15,10 +15,10 @@ from sandlab.sequential import (
     InapplicableMove,
     RulesetPolicy,
     SequentialMove,
+    _successors,
     applicable_moves,
     apply_move,
     decompose_parallel_transition,
-    _successors,
     explore_digraph,
 )
 
@@ -105,7 +105,7 @@ def test_policies_that_differ_in_conventions_alone_keep_their_own_moves(
         for policy in policies:
             moves = ref.applicable_moves(c, policy)
             assert applicable_moves(c, policy) == moves
-            images = [(m, Configuration(values, offset)) for m, values, offset in _successors(c, policy)]
+            images = [(m, Configuration(v, offset)) for m, v, offset in _successors(c, policy)]
             assert images == [(m, ref.apply_move(c, m, policy)) for m in moves]
             for site in range(lo - 1, hi + 2):
                 for rule in RULE_ORDER:
