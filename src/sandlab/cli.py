@@ -75,34 +75,14 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _json_text(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` for a value that sits behind ``pad``, a newline and indent."""
-    if isinstance(value, str):
-        return _json_string(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        if set(map(type, value)) == {int}:  # cell values, the bulk of a trace
-            items = list(map(int.__repr__, value))
-        else:
-            items = [_json_text(v, inner) for v in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
-
-
 def _write_json(fields) -> None:
     """Write the object of ``fields``, (key, value) pairs, as ``print(json.dumps(obj, indent=2))``.
 
     The pairs are drawn one at a time, each after the previous value is
     written, and a value that is an iterator is written as an array item by
     item; so a document can stream, and its later fields can depend on what
-    its earlier ones consumed.
+    its earlier ones consumed.  Each item of an iterator is JSON text, laid
+    out as ``json.dumps(item, indent=2)`` would lay out a top-level value.
     """
     write = sys.stdout.write
     lead = "{"
@@ -112,11 +92,11 @@ def _write_json(fields) -> None:
         if isinstance(value, Iterator):
             opened = False
             for item in value:
-                write(("," if opened else "[") + "\n    " + _json_text(item, "\n    "))
+                write(("," if opened else "[") + "\n    " + item.replace("\n", "\n    "))
                 opened = True
             write("\n  ]" if opened else "[]")
         else:
-            write(_json_text(value, "\n  "))
+            write(json.dumps(value, indent=2).replace("\n", "\n  "))
     write("\n}\n")
 
 
@@ -138,9 +118,14 @@ def _run_fields(rule: RuleSpec, states, last: dict):
     yield "step_cap_reached", not last["fixed"]
 
 
+# one step of the run document, as JSON text; cell values are the bulk of a trace
+_STEP_RECORD = '{\n  "t": %d,\n  "offset": %d,\n  "values": %s,\n  "total": %d\n}'
+
+
 def _step_records(states, last: dict):
     for t, (state, fixed) in enumerate(states):
-        yield {"t": t, "offset": state.offset, "values": state.values, "total": state.total()}
+        values = "[\n    " + ",\n    ".join(map(int.__repr__, state.values)) + "\n  ]"
+        yield _STEP_RECORD % (t, state.offset, values if state.values else "[]", state.total())
     last.update(t=t, fixed=fixed)
 
 
@@ -211,12 +196,19 @@ def _digraph_dot(d) -> list[str]:
     return lines
 
 
+# one edge of the digraph document, as JSON text
+_EDGE_RECORD = '{\n  "from": %s,\n  "move": %s,\n  "to": %s\n}'
+
+
 def _digraph_fields(d):
     # every edge end, equilibrium and level key is a node: render each literal once
     literal = {n: to_literal(n) for n in d.nodes}
     yield "root", literal[d.root]
     yield "nodes", list(literal.values())
-    yield "edges", ({"from": literal[a], "move": str(m), "to": literal[b]} for a, m, b in d.edges)
+    yield "edges", (
+        _EDGE_RECORD % (_json_string(literal[a]), _json_string(str(m)), _json_string(literal[b]))
+        for a, m, b in d.edges
+    )
     yield "equilibria", [literal[n] for n in d.equilibria]
     yield "levels", {literal[n]: level for n, level in d.levels.items()}
     yield "node_cap_reached", d.node_cap_reached
