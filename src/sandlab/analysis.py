@@ -221,18 +221,16 @@ class CrosscheckReport:
         return not self.mismatches
 
 
-def prediction_crosscheck(n_max: int, seq_n_max: int | None = None) -> CrosscheckReport:
+def prediction_crosscheck(n_max: int) -> CrosscheckReport:
     """Play the closed forms against the engines for every n <= n_max.
 
     Checks, per n: the parallel vertical orbit from n-at-origin ends at
     ``gk_equilibrium_shape(n)``; the parallel threshold orbit ends at
-    ``fp_equilibrium_shape(n)``; and (for n <= seq_n_max, default 12) every
-    maximal rightward-vertical sequential path has length
-    ``gk_transient_time(n)``.  Measured threshold transients are recorded; no
-    closed form is asserted for them.
+    ``fp_equilibrium_shape(n)``; and (for n <= 12) every maximal
+    rightward-vertical sequential path has length ``gk_transient_time(n)``.
+    Measured threshold transients are recorded; no closed form is asserted
+    for them.
     """
-    if seq_n_max is None:
-        seq_n_max = min(n_max, 12)
     rows = []
     mismatches = []
     for n in range(n_max + 1):
@@ -246,7 +244,7 @@ def prediction_crosscheck(n_max: int, seq_n_max: int | None = None) -> Crosschec
         if not fp_ok:
             mismatches.append(f"n={n}: threshold orbit missed the predicted shape")
         seq_ok = None
-        if n <= seq_n_max:
+        if n <= 12:
             summary = sequential_spm_orbit(start)
             seq_ok = summary.path_lengths == frozenset({gk_transient_time(n)})
             if not seq_ok:

@@ -50,7 +50,7 @@ BT_FAMILY = frozenset({MoveRule.BT_D, MoveRule.BT_S})
 ALL_RULES = VR_FAMILY | HR_FAMILY | BT_FAMILY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequentialMove:
     rule: MoveRule
     site: int
@@ -94,6 +94,9 @@ class RulesetPolicy:
 
 # each rule's step from the source cell to the destination cell
 _STEP = {rule: 1 if rule.name.endswith("_D") else -1 for rule in RULE_ORDER}
+
+# the conventions of a move applied without a policy: its intrinsic guard alone
+_NO_CONVENTIONS = RulesetPolicy(hr_convention=False)
 
 
 def _guard(rule: MoveRule, left: int, mid: int, right: int, policy: RulesetPolicy) -> bool:
@@ -174,20 +177,15 @@ def apply_move(
     Without a policy only the move's intrinsic guard is checked; pass the
     policy in force to also enforce its conventions.
     """
-    # the move's own guard, whether its rule is enabled or not: the table of a policy
-    # that enables every rule, under no conventions when none is given
-    if policy is None:
-        policy = RulesetPolicy(hr_convention=False)
-    elif policy.enabled != ALL_RULES:
-        policy = replace(policy, enabled=ALL_RULES)
     padded = (0, *c.values, 0)
     lo = c.offset - 1  # lattice cell of padded[0]
     i = move.site - lo
-    # every guard needs a granule at the site, so a site off the support never applies
-    if 0 < i < len(padded) - 1:
-        for rule, step in _moves_at(padded[i - 1 : i + 2], policy):
-            if rule is move.rule:
-                return Configuration(*_splice(padded, lo, i, step))
+    # the move's own guard, whether its rule is enabled or not; every guard needs a
+    # granule at the site, so a site off the support never applies
+    if 0 < i < len(padded) - 1 and _guard(
+        move.rule, *padded[i - 1 : i + 2], _NO_CONVENTIONS if policy is None else policy
+    ):
+        return Configuration(*_splice(padded, lo, i, _STEP[move.rule]))
     raise InapplicableMove(f"{move} does not apply to {c}")
 
 
@@ -224,8 +222,6 @@ def explore_digraph(
     are merged onto their first-seen representative; an edge then ends at the
     representative of the move's image, which may be a translate of it.
     """
-    if node_cap < 1:
-        raise ValueError("node_cap must be positive")
     return _bfs(c0, policy, node_cap, depth_cap, quotient_translations)
 
 
@@ -244,6 +240,8 @@ def _bfs(
     only the equilibria expanded so far.  A node at the depth cap is not
     expanded, and sets ``node_cap_reached`` only if it has a move.
     """
+    if node_cap < 1:
+        raise ValueError("node_cap must be positive")
 
     # seen is keyed by the raw (values, offset), or values when quotienting, so a
     # Configuration is built only for a new node; its key shares the node's values
@@ -295,9 +293,10 @@ def enumerate_paths(
     """All distinct simple paths root -> target, or the first ``max_paths`` of them.
 
     Paths are move sequences; the empty path is returned when the target is
-    the root.  An absent target yields no paths.
+    the root.  An absent target, or ``max_paths=0``, yields no paths.
     """
-    if target not in d.levels:
+    _check_max_paths(max_paths)
+    if target not in d.levels or max_paths == 0:
         return []
     if target == d.root:
         return [()]
@@ -339,6 +338,11 @@ def enumerate_paths(
             on_path.discard(stack.pop()[0])
             del trail[-1:]  # the root's frame has no move
     return paths
+
+
+def _check_max_paths(max_paths: int | None) -> None:
+    if max_paths is not None and max_paths < 0:
+        raise ValueError(f"max_paths must be non-negative, got {max_paths}")
 
 
 def count_paths(d: TransitionDigraph, target: Configuration) -> int:
@@ -397,6 +401,7 @@ def decompose_parallel_transition(
     when ``budget_exceeded`` is False, i.e. the whole reachable space was
     enumerated within the caps.
     """
+    _check_max_paths(max_paths)
     if depth_cap is None:
         n = source.total()
         depth_cap = max(2 * n * n, 8)
@@ -490,11 +495,7 @@ class SpmOrbitSummary:
     path_lengths: frozenset[int]
 
 
-def sequential_spm_orbit(
-    c0: Configuration,
-    depth_cap: int | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> SpmOrbitSummary:
+def sequential_spm_orbit(c0: Configuration) -> SpmOrbitSummary:
     """Exhaust the ``VRd``-only digraph and measure every maximal path.
 
     Requires a non-increasing (ordered-partition) initial state; the
@@ -505,9 +506,9 @@ def sequential_spm_orbit(
     if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
         raise NotOrderedPartition(f"{c0} is not non-increasing")
     policy = RulesetPolicy(enabled=frozenset({MoveRule.VR_D}))
-    digraph = explore_digraph(c0, policy, node_cap=node_cap, depth_cap=depth_cap)
+    digraph = explore_digraph(c0, policy)
     if digraph.node_cap_reached:
-        raise RuntimeError("exploration truncated; raise the caps")
+        raise RuntimeError(f"exploration truncated at {DEFAULT_NODE_CAP} states")
     if len(digraph.equilibria) != 1:
         raise RuntimeError(
             f"expected a unique equilibrium, found {len(digraph.equilibria)}"

@@ -327,6 +327,14 @@ class TestDecomposeCommand:
         assert code == 2
         assert out == "NOT REACHABLE (2 states exhausted)\n"
 
+    def test_negative_max_paths_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "decompose", "--source", "3", "--target", "1|1,1", "--max-paths", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "max_paths" in err
+
     def test_trivial_empty_path(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--source", "0", "--target", "0")
         assert code == 0

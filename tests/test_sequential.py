@@ -271,6 +271,16 @@ class TestEnumeratePaths:
         d = explore_digraph(cfg("5,4,2,1"), VR_ONLY_D)
         assert len(enumerate_paths(d, cfg("4,3,2,2,1"), max_paths=2)) == 2
 
+    def test_max_paths_zero_gives_no_paths(self):
+        d = explore_digraph(cfg("3"), VR_BOTH)
+        assert enumerate_paths(d, cfg("1|1,1"), max_paths=0) == []
+        assert enumerate_paths(d, cfg("3"), max_paths=0) == []
+
+    def test_negative_max_paths_raises(self):
+        d = explore_digraph(cfg("3"), VR_BOTH)
+        with pytest.raises(ValueError, match="max_paths"):
+            enumerate_paths(d, cfg("1|1,1"), max_paths=-1)
+
 
 class TestCountPaths:
     @settings(max_examples=50, deadline=None)
@@ -365,6 +375,32 @@ class TestDecompose:
             ("VRs@0", "VRd@0"),
         ]
         assert cut.paths == full.paths[:1]
+
+    def test_max_paths_zero_gives_no_paths(self):
+        for target in (cfg("1|1,1"), cfg("3")):
+            result = decompose_parallel_transition(cfg("3"), target, VR_BOTH, max_paths=0)
+            assert result.reachable
+            assert result.paths == ()
+
+    def test_negative_max_paths_raises(self):
+        with pytest.raises(ValueError, match="max_paths"):
+            decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH, max_paths=-1)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda cap: explore_digraph(cfg("3"), VR_BOTH, node_cap=cap),
+            lambda cap: decompose_parallel_transition(
+                cfg("3"), cfg("1|1,1"), VR_BOTH, node_cap=cap
+            ),
+            lambda cap: necessity_analysis(cfg("3"), cfg("1|1,1"), node_cap=cap),
+        ],
+        ids=["explore", "decompose", "necessity"],
+    )
+    def test_a_node_cap_below_one_raises(self, search):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="node_cap"):
+                search(cap)
 
     @settings(deadline=None, max_examples=25)
     @given(small_configurations)
