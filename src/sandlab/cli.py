@@ -235,8 +235,8 @@ def cmd_decompose(args) -> int:
     source = parse_literal(args.source)
     target = parse_literal(args.target)
     if args.necessity:
-        if args.rules:
-            raise ValueError("--rules does not apply to --necessity, which sets the families")
+        if args.rules or args.max_paths is not None:
+            raise ValueError("--rules and --max-paths do not apply to --necessity")
         report = necessity_analysis(
             source, target, depth_cap=args.depth_cap, policy=_policy_from_args(args)
         )
@@ -259,7 +259,7 @@ def cmd_decompose(args) -> int:
             target,
             policy,
             depth_cap=args.depth_cap,
-            max_paths=args.max_paths,
+            max_paths=16 if args.max_paths is None else args.max_paths,
         )
         if final.reachable:
             print(f"REACHABLE in {final.depth} moves ({final.explored_nodes} states explored)")
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--target", required=True)
     decompose.add_argument("--necessity", action="store_true")
     decompose.add_argument("--depth-cap", type=int, default=None)
-    decompose.add_argument("--max-paths", type=int, default=16)
+    decompose.add_argument("--max-paths", type=int, default=None)
     decompose.set_defaults(func=cmd_decompose)
 
     verify = sub.add_parser("verify", help="run a verification suite")

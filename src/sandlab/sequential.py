@@ -242,6 +242,8 @@ def _bfs(
     """
     if node_cap < 1:
         raise ValueError("node_cap must be positive")
+    if depth_cap is not None and depth_cap < 0:
+        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
 
     # seen is keyed by the raw (values, offset), or values when quotienting, so a
     # Configuration is built only for a new node; its key shares the node's values
@@ -298,12 +300,8 @@ def enumerate_paths(
     _check_max_paths(max_paths)
     if target not in d.levels or max_paths == 0:
         return []
-    if target == d.root:
-        return [()]
-    adjacency: dict[Configuration, list[tuple[SequentialMove, Configuration]]] = {}
     reverse: dict[Configuration, list[Configuration]] = {}
-    for a, m, b in d.edges:
-        adjacency.setdefault(a, []).append((m, b))
+    for a, _, b in d.edges:
         reverse.setdefault(b, []).append(a)
     # walk only through nodes that can still reach the target
     ancestors = {target}
@@ -314,29 +312,41 @@ def enumerate_paths(
             if prev not in ancestors:
                 ancestors.add(prev)
                 frontier.append(prev)
-    if d.root not in ancestors:
-        return []
+    links: dict[Configuration, list[tuple[SequentialMove, Configuration]]] = {}
+    for a, move, b in d.edges:
+        if b in ancestors:
+            links.setdefault(a, []).append((move, b))
+    return _dfs_paths(d.root, target, links, max_paths)
+
+
+def _dfs_paths(start, goal, links: dict, max_paths: int | None) -> list[tuple[SequentialMove, ...]]:
+    """Simple paths start -> goal as move tuples, in DFS preorder, at most ``max_paths``.
+
+    ``links`` maps a node to its ``(move, next)`` pairs in edge order.
+    """
+    if start == goal:
+        return [()]
     paths: list[tuple[SequentialMove, ...]] = []
-    # iterative DFS: a frame per node on the path with its out-edge iterator
-    stack = [(d.root, iter(adjacency[d.root]))]
-    on_path = {d.root}
+    # iterative DFS: a frame per node on the path with its link iterator
+    stack = [(start, iter(links.get(start, ())))]
+    on_path = {start}
     trail: list[SequentialMove] = []
     while stack:
         for move, succ in stack[-1][1]:
-            if succ in on_path or succ not in ancestors:
+            if succ in on_path:
                 continue
-            if succ == target:  # a simple path ends at the target
+            if succ == goal:  # a simple path ends at the goal
                 paths.append((*trail, move))
-                if max_paths is not None and len(paths) >= max_paths:
+                if len(paths) == max_paths:
                     return paths
                 continue
-            stack.append((succ, iter(adjacency[succ])))
+            stack.append((succ, iter(links.get(succ, ()))))
             on_path.add(succ)
             trail.append(move)
             break
         else:
             on_path.discard(stack.pop()[0])
-            del trail[-1:]  # the root's frame has no move
+            del trail[-1:]  # the start's frame has no move
     return paths
 
 
@@ -407,35 +417,22 @@ def decompose_parallel_transition(
         depth_cap = max(2 * n * n, 8)
     d = _bfs(source, policy, node_cap, depth_cap, target=target)
     if target in d.levels:
-        paths = _geodesics(d, target, max_paths)
-        return DecompositionResult(True, tuple(paths), len(d.nodes), False, d.levels[target])
+        paths = () if max_paths == 0 else _geodesics(d, target, max_paths)
+        return DecompositionResult(True, paths, len(d.nodes), False, d.levels[target])
     return DecompositionResult(False, (), len(d.nodes), d.node_cap_reached, None)
 
 
 def _geodesics(d: TransitionDigraph, target: Configuration, max_paths: int):
-    """Up to ``max_paths`` shortest paths, depth first in parent order, without recursion.
+    """Up to ``max_paths`` shortest paths, depth first in parent order.
 
     A node's parents are the sources of its edges from the level above, in
-    discovery order.  A stack entry holds a node and its path to the target as
-    nested (move, rest) pairs.
+    discovery order; the walk runs from the target up to the root.
     """
-    parents: dict[Configuration, list[tuple[Configuration, SequentialMove]]] = {}
+    parents: dict[Configuration, list[tuple[SequentialMove, Configuration]]] = {}
     for a, move, b in d.edges:
         if d.levels[b] == d.levels[a] + 1:
-            parents.setdefault(b, []).append((a, move))
-    paths: list[tuple[SequentialMove, ...]] = []
-    stack = [(target, None)]
-    while stack and len(paths) < max_paths:
-        node, suffix = stack.pop()
-        if node == d.root:
-            path = []
-            while suffix is not None:
-                move, suffix = suffix
-                path.append(move)
-            paths.append(tuple(path))
-        else:  # pushed reversed, so the first parent is expanded first
-            stack.extend((prev, (move, suffix)) for prev, move in reversed(parents[node]))
-    return paths
+            parents.setdefault(b, []).append((move, a))
+    return tuple(path[::-1] for path in _dfs_paths(target, d.root, parents, max_paths))
 
 
 NECESSITY_FAMILIES: tuple[tuple[str, frozenset[MoveRule]], ...] = (
@@ -468,7 +465,7 @@ def necessity_analysis(
 ) -> NecessityReport:
     """Which nested move family first reaches the target, if any.
 
-    Each family runs under the conventions of ``policy``, with its own moves enabled.
+    Each family runs under ``policy``'s conventions with its own moves; the rows carry no paths.
     """
     rows = []
     minimal = None
@@ -479,6 +476,7 @@ def necessity_analysis(
             replace(policy, enabled=family),
             depth_cap=depth_cap,
             node_cap=node_cap,
+            max_paths=0,
         )
         rows.append((name, result))
         if result.reachable and minimal is None:
@@ -514,14 +512,12 @@ def sequential_spm_orbit(c0: Configuration) -> SpmOrbitSummary:
             f"expected a unique equilibrium, found {len(digraph.equilibria)}"
         )
     equilibrium = digraph.equilibria[0]
-    # each VRd move raises sum(x * c(x)) by one, so edges run from one BFS level to
-    # the next: in reverse edge order a state's out-edges follow its successors' own
-    lengths: dict[Configuration, frozenset[int]] = {equilibrium: frozenset({0})}
-    for a, _, b in reversed(digraph.edges):
-        if b not in lengths:
-            raise RuntimeError("cycle in a vertical-rule digraph")
-        lengths[a] = lengths.get(a, frozenset()) | {1 + n for n in lengths[b]}
-    return SpmOrbitSummary(digraph, equilibrium, lengths[c0])
+    # each VRd move raises sum(x * c(x)) by one, so every edge climbs one BFS level;
+    # then every maximal path ends at the equilibrium and has its level as length
+    levels = digraph.levels
+    if any(levels[b] != levels[a] + 1 for a, _, b in digraph.edges):
+        raise RuntimeError("a vertical-rule edge does not climb one BFS level")
+    return SpmOrbitSummary(digraph, equilibrium, frozenset({levels[equilibrium]}))
 
 
 def mirror_image(c: Configuration) -> Configuration:

@@ -292,6 +292,24 @@ class TestDecomposeCommand:
         assert out == ""
         assert "--rules" in err
 
+    def test_necessity_rejects_max_paths(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "decompose", "--source", "3", "--target", "1|1,1",
+            "--max-paths", "3", "--necessity",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--max-paths" in err
+
+    def test_default_prints_sixteen_paths(self, capsys):
+        # 10 -> 4,3,2,1 under vr_d has 34 geodesics
+        code, out, _ = run_cli(
+            capsys, "decompose", "--source", "10", "--target", "4,3,2,1", "--rules", "vr_d"
+        )
+        assert code == 0
+        assert out.count("path:") == 16
+
     def test_reachable_paths(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -334,6 +352,16 @@ class TestDecomposeCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "max_paths" in err
+
+    @pytest.mark.parametrize("necessity", [(), ("--necessity",)], ids=["plain", "necessity"])
+    def test_negative_depth_cap_is_rejected(self, capsys, necessity):
+        code, out, err = run_cli(
+            capsys,
+            "decompose", "--source", "3", "--target", "1|1,1", "--depth-cap", "-1", *necessity,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "depth_cap" in err
 
     def test_trivial_empty_path(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--source", "0", "--target", "0")

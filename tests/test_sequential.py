@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import cfg, count_paths, small_configurations
 from sandlab import sequential
@@ -25,6 +25,15 @@ from sandlab.sequential import (
     mirror_move,
     necessity_analysis,
     sequential_spm_orbit,
+)
+
+# non-increasing states of total at most 10, the inputs of ``sequential_spm_orbit``
+ordered_partitions = st.builds(
+    Configuration,
+    st.lists(st.integers(1, 10), min_size=1, max_size=10)
+    .filter(lambda parts: sum(parts) <= 10)
+    .map(lambda parts: tuple(sorted(parts, reverse=True))),
+    st.integers(-3, 3),
 )
 
 FULL = RulesetPolicy()
@@ -402,6 +411,23 @@ class TestDecompose:
             with pytest.raises(ValueError, match="node_cap"):
                 search(cap)
 
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda cap: explore_digraph(cfg("3"), VR_BOTH, depth_cap=cap),
+            lambda cap: decompose_parallel_transition(
+                cfg("3"), cfg("1|1,1"), VR_BOTH, depth_cap=cap
+            ),
+            lambda cap: necessity_analysis(cfg("3"), cfg("1|1,1"), depth_cap=cap),
+        ],
+        ids=["explore", "decompose", "necessity"],
+    )
+    def test_a_negative_depth_cap_raises(self, search):
+        for cap in (-1, -2):
+            with pytest.raises(ValueError, match="depth_cap"):
+                search(cap)
+        search(0)  # the root alone
+
     @settings(deadline=None, max_examples=25)
     @given(small_configurations)
     def test_paths_replay_to_the_target(self, c):
@@ -448,6 +474,12 @@ class TestNecessity:
         assert report.result_for("VR+HR").depth == 1
         assert necessity_analysis(cfg("1"), cfg("0,1")).minimal_family is None
 
+    def test_rows_carry_no_paths(self):
+        for source, target in (("0,1|2,1,0", "0,2|0,2,0"), ("3", "1|1,1"), ("0", "0")):
+            report = necessity_analysis(cfg(source), cfg(target))
+            assert report.minimal_family is not None
+            assert all(result.paths == () for _, result in report.rows)
+
 
 class TestSpmOrbit:
     def test_six_granules(self):
@@ -470,6 +502,15 @@ class TestSpmOrbit:
         summary = sequential_spm_orbit(Configuration((501, *range(499, 0, -1))))
         assert len(summary.digraph.nodes) == 501
         assert summary.path_lengths == frozenset({500})
+
+    @settings(max_examples=100, deadline=None)
+    @given(ordered_partitions)
+    def test_path_lengths_match_the_enumerated_paths(self, c):
+        summary = sequential_spm_orbit(c)
+        d = summary.digraph
+        paths = enumerate_paths(d, summary.equilibrium)
+        assert summary.path_lengths == {len(p) for p in paths}
+        assert sequential.count_paths(d, summary.equilibrium) == len(paths)
 
     def test_rejects_increasing_configurations(self):
         with pytest.raises(NotOrderedPartition):
