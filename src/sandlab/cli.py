@@ -55,22 +55,33 @@ class _Parser(argparse.ArgumentParser):
 
 def _rule_from_args(args) -> RuleSpec:
     kind = _RULE_KINDS[args.rule]
-    hood = _parse_int_list(args.neighborhood) if args.neighborhood else None
-    dist = _parse_int_list(args.distribution) if args.distribution else None
+    hood = _parse_int_list(args.neighborhood, "--neighborhood")
+    dist = _parse_int_list(args.distribution, "--distribution")
     if kind in (RuleKind.GK, RuleKind.HEIGHT_DIFF, RuleKind.SYMMETRIC_SM1):
-        if hood or dist:
+        if hood is not None or dist is not None:
             raise ValueError(
                 f"--neighborhood/--distribution do not apply to rule {kind.value!r}"
             )
         return RuleSpec(kind)
-    if kind is RuleKind.CONSTANT_G1 and dist:
+    if kind is RuleKind.CONSTANT_G1 and dist is not None:
         raise ValueError("const-g1 fixes the distribution to 1")
-    return RuleSpec(kind, tuple(hood) if hood else (-1, 1), tuple(dist) if dist else None)
+    return RuleSpec(kind, (-1, 1) if hood is None else hood, dist)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _list_tokens(text: str, flag: str) -> list[str]:
+    """The comma-separated tokens of a list flag; an empty value or token is an error."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tokens):
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
+    return tokens
+
+
+def _parse_int_list(text: str | None, flag: str) -> tuple[int, ...] | None:
+    if text is None:
+        return None
+    tokens = _list_tokens(text, flag)
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return tuple(map(int, tokens))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -161,8 +172,8 @@ def cmd_run(args) -> int:
 
 
 def _policy_from_args(args) -> RulesetPolicy:
-    if args.rules:
-        tokens = [tok.strip() for tok in args.rules.split(",") if tok.strip()]
+    if args.rules is not None:
+        tokens = _list_tokens(args.rules, "--rules")
         unknown = [tok for tok in tokens if tok not in _MOVE_TOKENS]
         if unknown:
             raise ValueError(
@@ -235,7 +246,7 @@ def cmd_decompose(args) -> int:
     source = parse_literal(args.source)
     target = parse_literal(args.target)
     if args.necessity:
-        if args.rules or args.max_paths is not None:
+        if args.rules is not None or args.max_paths is not None:
             raise ValueError("--rules and --max-paths do not apply to --necessity")
         report = necessity_analysis(
             source, target, depth_cap=args.depth_cap, policy=_policy_from_args(args)
@@ -265,6 +276,8 @@ def cmd_decompose(args) -> int:
             print(f"REACHABLE in {final.depth} moves ({final.explored_nodes} states explored)")
             for path in final.paths:
                 print("path: " + (" ".join(str(m) for m in path) or "(empty)"))
+            if final.path_count is not None and final.path_count > len(final.paths):
+                print(f"({len(final.paths)} of {final.path_count} shortest paths shown)")
         elif final.budget_exceeded:
             print(f"INCONCLUSIVE: budget exceeded after {final.explored_nodes} states")
         else:

@@ -18,7 +18,9 @@ to all cells at once.  The rule families:
                      caller can inspect exactly where.
 
 All seven are evaluated by one stencil kernel, ``_stencil``; the public step
-functions check their inputs and wrap its output in the right state type.
+functions check their inputs and wrap its output in the right state type.  The
+threshold kinds touch only their firing cells, which shed and pay out; the
+others read every neighbour as a shifted slice.
 """
 
 from __future__ import annotations
@@ -251,24 +253,29 @@ def gen1g_step(state: _LatticeState, rule: RuleSpec) -> HeightProfile:
 def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:
     """Next values of the cells within the rule radius of the support, and the first cell.
 
-    Pads the values once and reads every neighbour as a shifted slice.  Gate forms:
-    threshold (fp, height, const-g1), c + sum_y D(y)*H(c(x+y) - th) - shed*H(c - th)
-    with shed = th, or 0 for const-g1; difference (gk, gen1g, gen1g-prime),
-    c + sum_y w(y)*H(w(y)*(c(x-y) - c) - th) with w from ``RuleSpec._weights``;
-    and the product gate of sm1.
+    Gate forms: threshold (fp, height, const-g1), c + sum_y D(y)*H(c(x+y) - th)
+    - shed*H(c - th) with shed = th, or 0 for const-g1; difference (gk, gen1g,
+    gen1g-prime), c + sum_y w(y)*H(w(y)*(c(x-y) - c) - th) with w from
+    ``RuleSpec._weights``; and the product gate of sm1.  The threshold gate
+    loops over the firing cells alone: each sheds ``shed`` and pays D(y) to the
+    cell at offset -y from it.  The other two pad the values once and read every
+    neighbour as a shifted slice.
     """
     kind, r, th = rule.kind, rule.radius, rule.theta
+    if kind in _THRESHOLD_KINDS:
+        shed = 0 if kind is RuleKind.CONSTANT_G1 else th
+        out = [0] * r + list(state.values) + [0] * r
+        # the firing cells, as indices of out
+        hot = [j for j, v in enumerate(state.values, r) if v >= th]
+        for y, d in ((0, -shed), *zip(rule.neighborhood, rule.distribution)):
+            for j in hot:
+                out[j - y] += d
+        return out, state.offset - r
     width = len(state.values) + 2 * r
     padded = [0] * (2 * r) + list(state.values) + [0] * (2 * r)
     # padded[r + y:] holds c(x + y) from the first cell on; zip stops at the width
     centre = padded[r : r + width]
-    if kind in _THRESHOLD_KINDS:
-        shed = 0 if kind is RuleKind.CONSTANT_G1 else th
-        fires = [v >= th for v in padded]
-        out = centre
-        for y, d in ((0, -shed), *zip(rule.neighborhood, rule.distribution)):
-            out = [v + d * f for v, f in zip(out, fires[r + y :])]
-    elif kind is RuleKind.SYMMETRIC_SM1:
+    if kind is RuleKind.SYMMETRIC_SM1:
         out = [
             a + (a >= b) * ((left - a >= th) - (a - b >= th))
             + (a >= left) * ((b - a >= th) - (a - left >= th))

@@ -394,6 +394,7 @@ class DecompositionResult:
     explored_nodes: int
     budget_exceeded: bool
     depth: int | None
+    path_count: int | None = None  # all the geodesics, when paths were asked for
 
 
 def decompose_parallel_transition(
@@ -407,7 +408,8 @@ def decompose_parallel_transition(
     """Shortest move sequences from source to target under a policy.
 
     Level-synchronous BFS; when the target appears, all geodesic paths (up to
-    ``max_paths``) are reconstructed.  ``reachable=False`` is conclusive only
+    ``max_paths``) are reconstructed, and ``path_count`` says how many exist
+    (None for ``max_paths=0``).  ``reachable=False`` is conclusive only
     when ``budget_exceeded`` is False, i.e. the whole reachable space was
     enumerated within the caps.
     """
@@ -417,22 +419,27 @@ def decompose_parallel_transition(
         depth_cap = max(2 * n * n, 8)
     d = _bfs(source, policy, node_cap, depth_cap, target=target)
     if target in d.levels:
-        paths = () if max_paths == 0 else _geodesics(d, target, max_paths)
-        return DecompositionResult(True, paths, len(d.nodes), False, d.levels[target])
+        paths, count = ((), None) if max_paths == 0 else _geodesics(d, target, max_paths)
+        return DecompositionResult(True, paths, len(d.nodes), False, d.levels[target], count)
     return DecompositionResult(False, (), len(d.nodes), d.node_cap_reached, None)
 
 
 def _geodesics(d: TransitionDigraph, target: Configuration, max_paths: int):
-    """Up to ``max_paths`` shortest paths, depth first in parent order.
+    """Up to ``max_paths`` shortest paths, depth first in parent order, and their full count.
 
     A node's parents are the sources of its edges from the level above, in
-    discovery order; the walk runs from the target up to the root.
+    discovery order; the walk runs from the target up to the root.  The count
+    sums each node's parents' counts, over the nodes in BFS order.
     """
     parents: dict[Configuration, list[tuple[SequentialMove, Configuration]]] = {}
     for a, move, b in d.edges:
         if d.levels[b] == d.levels[a] + 1:
             parents.setdefault(b, []).append((move, a))
-    return tuple(path[::-1] for path in _dfs_paths(target, d.root, parents, max_paths))
+    ways = {d.root: 1}
+    for node in d.nodes[1:]:  # a node's parents come before it, on the level above
+        ways[node] = sum(ways[a] for _, a in parents[node])
+    paths = _dfs_paths(target, d.root, parents, max_paths)
+    return tuple(path[::-1] for path in paths), ways[target]
 
 
 NECESSITY_FAMILIES: tuple[tuple[str, frozenset[MoveRule]], ...] = (

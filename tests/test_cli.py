@@ -108,6 +108,26 @@ class TestRunCommand:
         assert code == 1
         assert "neighborhood" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--neighborhood="],
+            ["--neighborhood=-1,,1"],
+            ["--neighborhood=-1, ,1"],
+            ["--neighborhood=-2,-1,1,2", "--distribution=1,,2,2,1"],
+            ["--distribution="],
+        ],
+        ids=["empty-hood", "empty-hood-token", "blank-hood-token", "empty-payout-token",
+             "empty-distribution"],
+    )
+    def test_an_empty_list_entry_is_rejected(self, capsys, flags):
+        # each of these once ran with a default or a dropped token and exited 0
+        code, out, err = run_cli(capsys, "run", "--rule", "fp", "--init", "5", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert flags[-1].split("=")[0] in err
+
     def test_unknown_rule_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--rule", "bogus", "--init", "6"])
@@ -239,6 +259,15 @@ class TestDigraphCommand:
         assert code == 1
         assert "vr_x" in err
 
+    @pytest.mark.parametrize("rules_flag", ["--rules=", "--rules=vr_d,,vr_s"])
+    def test_an_empty_rules_entry_is_rejected(self, capsys, rules_flag):
+        # "--rules=" once explored all six moves, as if the flag were absent
+        code, out, err = run_cli(capsys, "digraph", "--init", "3", rules_flag, "--node-cap", "50")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--rules" in err
+
     def test_quotient_translations_merges_equilibria(self, capsys):
         args = ["digraph", "--init", "3", "--rules", "vr_d,vr_s,hr_d,hr_s", "--out", "json"]
         _, full_out, _ = run_cli(capsys, *args)
@@ -309,6 +338,19 @@ class TestDecomposeCommand:
         )
         assert code == 0
         assert out.count("path:") == 16
+
+    def test_a_cut_path_list_says_how_many_geodesics_exist(self, capsys):
+        args = ["decompose", "--source", "10", "--target", "4,3,2,1", "--rules", "vr_d"]
+        _, out, _ = run_cli(capsys, *args)
+        assert out.splitlines()[-1] == "(16 of 34 shortest paths shown)"
+        _, out, _ = run_cli(capsys, *args, "--max-paths", "33")
+        assert out.splitlines()[-1] == "(33 of 34 shortest paths shown)"
+        for complete in ("34", "40"):
+            _, out, _ = run_cli(capsys, *args, "--max-paths", complete)
+            assert out.count("path:") == 34
+            assert "shown" not in out
+        _, out, _ = run_cli(capsys, *args, "--max-paths", "0")
+        assert out.splitlines() == ["REACHABLE in 10 moves (19 states explored)"]
 
     def test_reachable_paths(self, capsys):
         code, out, _ = run_cli(

@@ -395,6 +395,28 @@ class TestDecompose:
         with pytest.raises(ValueError, match="max_paths"):
             decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH, max_paths=-1)
 
+    def test_path_count_counts_the_geodesics_past_the_cut(self):
+        # 10 -> 4,3,2,1 under vr_d has 34 geodesics; the default CLI list shows 16
+        source, target = cfg("10"), cfg("4,3,2,1")
+        cut = decompose_parallel_transition(source, target, VR_ONLY_D, max_paths=16)
+        full = decompose_parallel_transition(source, target, VR_ONLY_D, max_paths=100)
+        assert (len(cut.paths), cut.path_count) == (16, 34)
+        assert (len(full.paths), full.path_count) == (34, 34)
+        none = decompose_parallel_transition(source, target, VR_ONLY_D, max_paths=0)
+        assert none.path_count is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), small_configurations, st.sampled_from([VR_BOTH, FULL]), st.integers(1, 3))
+    def test_path_count_is_the_length_of_the_uncut_list(self, data, source, policy, cap):
+        nearby = explore_digraph(source, policy, node_cap=40, depth_cap=3).nodes
+        target = data.draw(st.sampled_from(nearby), label="target")
+        args = (source, target, policy, 4, 400)
+        cut = decompose_parallel_transition(*args, max_paths=cap)
+        full = decompose_parallel_transition(*args, max_paths=10**6)
+        assert cut.reachable and full.reachable
+        assert cut.paths == full.paths[:cap]
+        assert cut.path_count == full.path_count == len(full.paths)
+
     @pytest.mark.parametrize(
         "search",
         [

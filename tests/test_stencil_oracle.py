@@ -9,15 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_rules as ref
-from sandlab.pile import Configuration, HeightProfile
+from sandlab.pile import Configuration, HeightProfile, parse_height_literal, parse_literal
 from sandlab.rules import (
     NegativityWitness,
     RuleKind,
     RuleSpec,
+    _stencil,
+    const_g1_rule,
+    fp_rule,
     fp_step,
     gen1g_step,
     gk_step,
+    height_rule,
     height_step,
+    orbit_states,
     step,
     symmetric_step,
 )
@@ -105,3 +110,68 @@ def test_sm1_witness_parity():
         -1,
         -1,
     )
+
+
+@st.composite
+def threshold_cases(draw):
+    """A threshold rule with the offset and payout ranges of ``random_fp_rule``, and a hot state.
+
+    Cells reach 3 theta, so most fire and some hold 2 theta or more; the end
+    cells may be pinned to fire, so payouts land in the pads; and a
+    ``HeightProfile`` may hold negative cells.
+    """
+    kind = draw(st.sampled_from([RuleKind.FP, RuleKind.HEIGHT_DIFF, RuleKind.CONSTANT_G1]))
+    if kind is RuleKind.HEIGHT_DIFF:
+        rule = RuleSpec(kind)
+    else:
+        hood = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=5, unique=True))
+        payouts = st.integers(1, 1 if kind is RuleKind.CONSTANT_G1 else 4)
+        dist = draw(st.lists(payouts, min_size=len(hood), max_size=len(hood)))
+        rule = RuleSpec(kind, tuple(hood), tuple(dist))
+    th = rule.theta
+    signed = draw(st.booleans())
+    cells = draw(st.lists(st.integers(-3 * th if signed else 0, 3 * th), min_size=1, max_size=12))
+    hot = st.integers(th, 3 * th)
+    if draw(st.booleans()):
+        cells[0] = draw(hot)
+    if draw(st.booleans()):
+        cells[-1] = draw(hot)
+    state = (HeightProfile if signed else Configuration)(cells, draw(st.integers(-6, 6)))
+    return state, rule
+
+
+@settings(max_examples=400, deadline=None)
+@given(threshold_cases())
+def test_threshold_kinds_on_hot_states_match_the_reference(case):
+    state, rule = case
+    assert_entry_points_match(state, rule)
+    if rule.kind is RuleKind.CONSTANT_G1 and not state.is_zero:
+        # the untrimmed window, pads included, against the reference's raw image
+        image = ref.gen1g_step(state, rule)
+        assert _stencil(state, rule) == (list(image.values), image.offset)
+
+
+def reference_orbit(state, rule, max_steps):
+    states = [state]
+    while len(states) <= max_steps:
+        nxt = ref.step(states[-1], rule)
+        if nxt == states[-1]:
+            break
+        states.append(nxt)
+    return states
+
+
+@pytest.mark.parametrize(
+    "state, rule, max_steps",
+    [
+        (parse_literal("40"), fp_rule(), 10**4),
+        (parse_height_literal("-30|30"), height_rule(), 10**4),
+        (parse_literal("25,4|40,0,17"), fp_rule((-3, 1, 2), (2, 1, 3)), 10**4),
+        (parse_height_literal("3,-2|9,0,4"), const_g1_rule((-2, 1, 3)), 12),
+    ],
+    ids=["fp-40", "height-30", "fp-3-1-2", "const-g1-capped"],
+)
+def test_whole_orbits_match_the_reference_state_by_state(state, rule, max_steps):
+    ours = [s for s, _ in orbit_states(state, rule, max_steps)]
+    assert ours == reference_orbit(state, rule, max_steps)
+    assert len(ours) > 10
