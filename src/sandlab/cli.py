@@ -5,7 +5,8 @@ Exit codes
     1  bad arguments or malformed input
     2  decompose: target not reachable (conclusively)
     3  run: step cap reached without an equilibrium
-    4  digraph: node cap reached (graph still emitted)
+    4  digraph: node or depth cap reached with moves left unexplored
+       (graph still emitted)
     5  decompose: search budget exceeded, result inconclusive
     6  verify: at least one check failed
   141  stdout was closed before the output was written (a reader such as
@@ -33,6 +34,7 @@ from .pile import (
 from .rules import OrbitTrace, RuleKind, RuleSpec, orbit, orbit_states
 from .sequential import (
     ALL_RULES,
+    DEFAULT_NODE_CAP,
     MoveRule,
     RulesetPolicy,
     decompose_parallel_transition,
@@ -232,6 +234,7 @@ def cmd_digraph(args) -> int:
         initial,
         policy,
         node_cap=args.node_cap,
+        depth_cap=args.depth_cap,
         quotient_translations=args.quotient_translations,
     )
     if args.out == "json":
@@ -249,7 +252,11 @@ def cmd_decompose(args) -> int:
         if args.rules is not None or args.max_paths is not None:
             raise ValueError("--rules and --max-paths do not apply to --necessity")
         report = necessity_analysis(
-            source, target, depth_cap=args.depth_cap, policy=_policy_from_args(args)
+            source,
+            target,
+            depth_cap=args.depth_cap,
+            node_cap=args.node_cap,
+            policy=_policy_from_args(args),
         )
         for name, result in report.rows:
             verdict = "reachable" if result.reachable else "unreachable"
@@ -270,6 +277,7 @@ def cmd_decompose(args) -> int:
             target,
             policy,
             depth_cap=args.depth_cap,
+            node_cap=args.node_cap,
             max_paths=16 if args.max_paths is None else args.max_paths,
         )
         if final.reachable:
@@ -334,7 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     digraph.add_argument("--init", required=True)
     digraph.add_argument("--quotient-translations", action="store_true")
-    digraph.add_argument("--node-cap", type=int, default=10**6)
+    digraph.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP, help="default 10⁶")
+    digraph.add_argument(
+        "--depth-cap",
+        type=int,
+        help="BFS levels expanded (default: all); like --node-cap, "
+        "exits 4 if it leaves a move unexplored",
+    )
     digraph.add_argument("--out", choices=("dot", "json"), default="dot")
     digraph.set_defaults(func=cmd_digraph)
 
@@ -346,7 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--source", required=True)
     decompose.add_argument("--target", required=True)
     decompose.add_argument("--necessity", action="store_true")
-    decompose.add_argument("--depth-cap", type=int, default=None)
+    decompose.add_argument(
+        "--depth-cap", type=int, help="BFS levels (default max(2n², 8), n the source total)"
+    )
+    decompose.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP, help="default 10⁶")
     decompose.add_argument("--max-paths", type=int, default=None)
     decompose.set_defaults(func=cmd_decompose)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .pile import Configuration, HeightProfile, NegativeValue, _LatticeState
@@ -71,6 +71,10 @@ class RuleSpec:
     kind: RuleKind
     neighborhood: tuple[int, ...] = (-1, 1)
     distribution: tuple[int, ...] | None = None
+    # derived once here, not on every step: _stencil reads all three
+    theta: int = field(init=False, repr=False, compare=False)
+    radius: int = field(init=False, repr=False, compare=False)
+    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # operator.index accepts integers only: 1.7 raises instead of becoming 1
@@ -108,25 +112,15 @@ class RuleSpec:
         elif self.kind is RuleKind.CONSTANT_G1:
             if any(d != 1 for d in dist):
                 raise ValueError("const-g1 uses the constant unit distribution")
+        # difference-gate weight w(y) per offset: G for gen1g, D*y otherwise (y for gk, sm1)
+        weights = dist if self.kind is RuleKind.GEN_1G else tuple(d * y for y, d in pairs)
+        # stability threshold: sum of D for the threshold kinds, sum of |w| for the others
+        theta = sum(dist) if self.kind in _THRESHOLD_KINDS else sum(map(abs, weights))
         object.__setattr__(self, "neighborhood", hood)
         object.__setattr__(self, "distribution", dist)
-
-    @property
-    def theta(self) -> int:
-        """Stability threshold: sum of D for the threshold kinds, sum of |w| for the others."""
-        if self.kind in _THRESHOLD_KINDS:
-            return sum(self.distribution)
-        return sum(map(abs, self._weights()))
-
-    def _weights(self) -> tuple[int, ...]:
-        """Difference-gate weight w(y) per offset: G for gen1g, D*y otherwise (y for gk, sm1)."""
-        if self.kind is RuleKind.GEN_1G:
-            return self.distribution
-        return tuple(d * y for y, d in zip(self.neighborhood, self.distribution))
-
-    @property
-    def radius(self) -> int:
-        return max(abs(y) for y in self.neighborhood)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "radius", max(map(abs, hood)))
+        object.__setattr__(self, "_weights", weights)
 
 
 def gk_rule() -> RuleSpec:
@@ -158,6 +152,8 @@ def const_g1_rule(neighborhood=(-1, 1)) -> RuleSpec:
 
 
 _GK = gk_rule()
+_FP = fp_rule()
+_HEIGHT = height_rule()
 _SM1 = sm1_rule()
 
 
@@ -193,7 +189,7 @@ def fp_step(c: Configuration, rule: RuleSpec | None = None) -> Configuration:
     below th, which are the Boolean ones only for th = 2.
     """
     if rule is None:
-        rule = fp_rule()
+        rule = _FP
     elif rule.kind is not RuleKind.FP:
         raise ValueError(f"fp_step needs an fp rule, got {rule.kind.value!r}")
     if c.is_zero:
@@ -208,7 +204,7 @@ def height_step(h: HeightProfile, rule: RuleSpec | None = None) -> HeightProfile
     Entries may be negative; the sum over the lattice is invariant.
     """
     if rule is None:
-        rule = height_rule()
+        rule = _HEIGHT
     elif rule.kind is not RuleKind.HEIGHT_DIFF:
         raise ValueError(f"height_step needs a height rule, got {rule.kind.value!r}")
     if h.is_zero:
@@ -283,7 +279,7 @@ def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:
         ]
     else:
         out = centre
-        for y, w in zip(rule.neighborhood, rule._weights()):
+        for y, w in zip(rule.neighborhood, rule._weights):
             out = [v + w * (w * (a - c) >= th) for v, a, c in zip(out, padded[r - y :], centre)]
     return out, state.offset - r
 

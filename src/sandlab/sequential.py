@@ -76,6 +76,8 @@ class RulesetPolicy:
     bt_height_floor: int = 1
     # the move table: (left, mid, right) -> the (rule, step) pairs that fire there
     _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the interned moves: (rule, site) -> its one SequentialMove, shared by every image
+    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         enabled = frozenset(self.enabled)
@@ -152,15 +154,23 @@ def _splice(padded: tuple[int, ...], lo: int, i: int, step: int) -> tuple[tuple[
 def _successors(c: Configuration, policy: RulesetPolicy):
     """(move, values, offset) of every applicable move, by site then rule order, in one pass.
 
-    Each image is given by its trimmed values and offset; no ``Configuration``
-    is built.
+    Each image is given by its trimmed values and offset, spliced by
+    ``_splice``; no ``Configuration`` is built.  The moves are interned in the
+    policy: every image of a rule at a site shares one ``SequentialMove``.
     """
     padded = (0, *c.values, 0)
     lo = c.offset - 1  # lattice cell of padded[0]
+    table, interned = policy._moves, policy._interned
     out = []
-    for i in range(1, len(padded) - 1):
-        for rule, step in _moves_at(padded[i - 1 : i + 2], policy):
-            out.append((SequentialMove(rule, lo + i), *_splice(padded, lo, i, step)))
+    for i, triple in enumerate(zip(padded, padded[1:], padded[2:]), 1):
+        moves = table.get(triple)
+        if moves is None:
+            moves = _moves_at(triple, policy)
+        for rule, step in moves:
+            move = interned.get((rule, lo + i))
+            if move is None:
+                move = interned[rule, lo + i] = SequentialMove(rule, lo + i)
+            out.append((move, *_splice(padded, lo, i, step)))
     return out
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import cfg
+from sandlab import analysis
 from sandlab.analysis import (
     BoundExceeded,
     conservation_audit,
@@ -213,6 +214,36 @@ class TestVerifySuites:
         assert all(check.passed for check in results), [
             check for check in results if not check.passed
         ]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda values: (*values, 0),
+            lambda values: (values[0] + values[-1] + 1, *values[1:-1], -1),
+            lambda values: (values[0] + 1, *values[1:]),
+        ],
+        ids=["untrimmed", "negative-cell", "extra-granule"],
+    )
+    def test_sequential_conservation_fails_on_one_corrupt_image(self, monkeypatch, corrupt):
+        real = analysis._successors
+        corrupted = []
+
+        def successors(c, policy):
+            out = real(c, policy)
+            if out and not corrupted and len(out[0][1]) >= 2:
+                move, values, offset = out[0]
+                out[0] = (move, corrupt(values), offset)
+                corrupted.append(out[0])
+            return out
+
+        monkeypatch.setattr(analysis, "_successors", successors)
+        results = {check.name: check.passed for check in verify_conservation(seed=0, cases=50)}
+        assert len(corrupted) == 1
+        assert results == {
+            "gk-conservation": True,
+            "sequential-conservation": False,
+            "const-g1-violation": True,
+        }
 
     def test_suites_are_deterministic_under_a_seed(self):
         assert verify_conservation(seed=3, cases=200) == verify_conservation(

@@ -245,6 +245,23 @@ class TestDigraphCommand:
         assert doc["node_cap_reached"] is True
         assert len(doc["nodes"]) == 3
 
+    def test_depth_cap_exit_code(self, capsys):
+        # the vr_d digraph of 5,4,2,1 is 6 levels deep; a cap of 2 leaves moves unexplored
+        args = ["digraph", "--init", "5,4,2,1", "--rules", "vr_d", "--out", "json"]
+        code, out, _ = run_cli(capsys, *args, "--depth-cap", "2")
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["node_cap_reached"] is True
+        assert max(doc["levels"].values()) == 2
+        _, full, _ = run_cli(capsys, *args)
+        assert run_cli(capsys, *args, "--depth-cap", "6") == (0, full, "")
+
+    def test_negative_depth_cap_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "digraph", "--init", "3", "--depth-cap", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "depth_cap" in err
+
     def test_json_round_trips_through_the_literal_grammar(self, capsys):
         code, out, _ = run_cli(
             capsys, "digraph", "--init", "3", "--rules", "vr_d,vr_s", "--out", "json"
@@ -405,6 +422,35 @@ class TestDecomposeCommand:
         assert out == ""
         assert err.startswith("error: ") and "depth_cap" in err
 
+    @pytest.mark.parametrize("necessity", [(), ("--necessity",)], ids=["plain", "necessity"])
+    def test_a_tight_node_cap_is_inconclusive(self, capsys, necessity):
+        # 3 -> 2,1 is one VRd move; a cap of one state stops the search at the root
+        args = ["decompose", "--source", "3", "--target", "2,1", *necessity]
+        assert run_cli(capsys, *args)[0] == 0
+        code, out, _ = run_cli(capsys, *args, "--node-cap", "1")
+        assert code == 5
+        if necessity:
+            assert "VR: unreachable (budget exceeded, inconclusive)" in out
+        else:
+            assert out == "INCONCLUSIVE: budget exceeded after 1 states\n"
+
+    @pytest.mark.parametrize("necessity", [(), ("--necessity",)], ids=["plain", "necessity"])
+    def test_a_node_cap_below_one_is_rejected(self, capsys, necessity):
+        code, out, err = run_cli(
+            capsys,
+            "decompose", "--source", "3", "--target", "2,1", "--node-cap", "0", *necessity,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "node_cap" in err
+
+    def test_help_states_the_default_caps(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["decompose", "-h"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "default max(2n², 8), n the source total" in text
+        assert "default 10⁶" in text
+
     def test_trivial_empty_path(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--source", "0", "--target", "0")
         assert code == 0
@@ -438,6 +484,12 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "shapes")
         assert code == 0
         assert out.encode() == (GOLDEN / "verify-shapes.txt").read_bytes()
+
+    def test_conservation_stdout_bytes(self, capsys):
+        # pins the move-application count: a kernel that drops or repeats an image fails
+        code, out, _ = run_cli(capsys, "verify", "--suite", "conservation", "--seed", "0")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "verify-conservation.txt").read_bytes()
 
     def test_env_seed_overrides_the_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("SANDLAB_SEED", "42")

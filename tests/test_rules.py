@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -407,6 +408,17 @@ class TestRuleSpec:
         assert gen1g_rule((-2, 1), (5, -4)).theta == 9
         assert gen1g_prime_rule((-2, 1), (3, 4)).theta == 10
         assert const_g1_rule((-2, 1, 3)).theta == 3
+
+    def test_derived_fields_follow_the_rule_and_stay_out_of_equality(self):
+        rule = fp_rule((-2, 1, 3), (1, 2, 1))
+        assert (rule.theta, rule.radius) == (4, 3)
+        wider = replace(rule, neighborhood=(-5, 1, 3))
+        assert (wider.theta, wider.radius) == (4, 5)
+        assert replace(wider, neighborhood=(-2, 1, 3)) == rule
+        assert hash(replace(wider, neighborhood=(-2, 1, 3))) == hash(rule)
+        assert repr(gk_rule()) == (
+            "RuleSpec(kind=<RuleKind.GK: 'gk'>, neighborhood=(-1, 1), distribution=(1, 1))"
+        )
 
     def test_sorts_neighborhood_with_distribution(self):
         rule = fp_rule((2, -1), (5, 3))

@@ -217,6 +217,12 @@ class TestExploreDigraph:
         assert a.nodes == b.nodes
         assert a.edges == b.edges
 
+    def test_equal_moves_are_one_object(self):
+        # the successor kernel interns each (rule, site) move in its policy
+        d = explore_digraph(cfg("3,0,3"), RulesetPolicy(), node_cap=500)
+        moves = [move for _, move, _ in d.edges]
+        assert len({id(move) for move in moves}) == len(set(moves)) < len(moves)
+
     def test_node_cap_truncates_with_flag(self):
         d = explore_digraph(cfg("5,4,2,1"), VR_ONLY_D, node_cap=3)
         assert d.node_cap_reached
