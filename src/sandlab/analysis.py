@@ -1,10 +1,10 @@
-"""Closed-form predictors, counterexample searches, and cross-checking.
+"""Closed-form predictors, counterexample searches, and verification suites.
 
 The closed forms predict where the parallel engines must land (equilibrium
-shapes, transient times); the searches hunt for non-negativity and
-conservation failures of the generalized rules; and the cross-checker plays
-predictions against the engines so a mismatch surfaces as data rather than
-as a silent wrong answer.
+shapes, transient times); the searches hunt for non-negativity failures of
+the generalized rules; and the ``verify`` suites play predictions and
+invariants against the engines, so a mismatch surfaces as a FAIL line rather
+than as a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -150,19 +150,6 @@ def nn_search(
     return violations
 
 
-def conservation_audit(
-    rule: RuleSpec, sample: Iterable[Configuration]
-) -> list[tuple[Configuration, int, int]]:
-    """(configuration, total before, total after) for every non-conserving step."""
-    mismatches = []
-    for c in sample:
-        before = c.total()
-        after = step(c, rule).total()
-        if after != before:
-            mismatches.append((c, before, after))
-    return mismatches
-
-
 class PartitionCounts(NamedTuple):
     ordered: int
     generalized: int
@@ -200,60 +187,6 @@ def enumerate_partition_spaces(n: int) -> PartitionCounts:
         if all(comp[i] >= comp[i + 1] for i in range(len(comp) - 1)):
             ordered += 1
     return PartitionCounts(ordered, generalized)
-
-
-@dataclass(frozen=True)
-class CrosscheckRow:
-    n: int
-    gk_shape_ok: bool
-    fp_shape_ok: bool
-    fp_transient: int | None
-    seq_lengths_ok: bool | None
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    rows: tuple[CrosscheckRow, ...]
-    mismatches: tuple[str, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.mismatches
-
-
-def prediction_crosscheck(n_max: int) -> CrosscheckReport:
-    """Play the closed forms against the engines for every n <= n_max.
-
-    Checks, per n: the parallel vertical orbit from n-at-origin ends at
-    ``gk_equilibrium_shape(n)``; the parallel threshold orbit ends at
-    ``fp_equilibrium_shape(n)``; and (for n <= 12) every maximal
-    rightward-vertical sequential path has length ``gk_transient_time(n)``.
-    Measured threshold transients are recorded; no closed form is asserted
-    for them.
-    """
-    rows = []
-    mismatches = []
-    for n in range(n_max + 1):
-        start = Configuration((n,)) if n else Configuration()
-        gk_end, gk_transient = _orbit_end(start, gk_rule())
-        gk_ok = gk_transient is not None and gk_end == gk_equilibrium_shape(n)
-        if not gk_ok:
-            mismatches.append(f"n={n}: vertical orbit missed the predicted shape")
-        fp_end, fp_transient = _orbit_end(start, fp_rule())
-        fp_ok = fp_transient is not None and fp_end == fp_equilibrium_shape(n)
-        if not fp_ok:
-            mismatches.append(f"n={n}: threshold orbit missed the predicted shape")
-        seq_ok = None
-        if n <= 12:
-            summary = sequential_spm_orbit(start)
-            seq_ok = summary.path_lengths == frozenset({gk_transient_time(n)})
-            if not seq_ok:
-                mismatches.append(
-                    f"n={n}: sequential path lengths {sorted(summary.path_lengths)} "
-                    f"!= predicted {gk_transient_time(n)}"
-                )
-        rows.append(CrosscheckRow(n, gk_ok, fp_ok, fp_transient, seq_ok))
-    return CrosscheckReport(tuple(rows), tuple(mismatches))
 
 
 def _orbit_end(start: Configuration, rule: RuleSpec) -> tuple[Configuration, int | None]:
@@ -333,9 +266,8 @@ def verify_conservation(seed: int = 0, cases: int = 10_000) -> list[CheckResult]
             f"{applications} move applications, every rule exercised",
         )
     )
-    witness = Configuration((4, 0, 4), -1)  # 0,4|0,4,0
-    audit = conservation_audit(RuleSpec(RuleKind.CONSTANT_G1), [witness])
-    found = audit == [(witness, 8, 12)]
+    witness = Configuration((4, 0, 4), -1)  # 0,4|0,4,0, total 8
+    found = step(witness, RuleSpec(RuleKind.CONSTANT_G1)).total() == 12
     checks.append(
         CheckResult("const-g1-violation", found, "totals 8 -> 12 on 0,4|0,4,0")
     )
@@ -378,34 +310,39 @@ def verify_nn(seed: int = 0, cases: int = 10_000) -> list[CheckResult]:
 
 
 def verify_shapes(n_max: int = 30) -> list[CheckResult]:
-    """Closed-form equilibrium shapes and sequential transient times."""
-    report = prediction_crosscheck(n_max)
-    checks = [
-        CheckResult(
-            "gk-equilibrium-shapes",
-            all(r.gk_shape_ok for r in report.rows),
-            f"n <= {n_max}",
-        ),
-        CheckResult(
-            "fp-equilibrium-shapes",
-            all(r.fp_shape_ok for r in report.rows),
-            f"n <= {n_max}",
-        ),
-        CheckResult(
-            "sequential-transients",
-            all(r.seq_lengths_ok for r in report.rows if r.seq_lengths_ok is not None),
-            f"n <= {min(n_max, 12)}",
-        ),
-    ]
-    transients = {r.n: r.fp_transient for r in report.rows if r.n <= 8}
-    checks.append(
+    """Closed-form equilibrium shapes and sequential transient times.
+
+    Per n <= n_max, from n granules at the origin: the parallel vertical orbit
+    ends at ``gk_equilibrium_shape(n)``; the parallel threshold orbit ends at
+    ``fp_equilibrium_shape(n)``; and (for n <= 12) every maximal
+    rightward-vertical sequential path has length ``gk_transient_time(n)``.
+    Threshold transients are measured and recorded for n <= 8; no closed form
+    is asserted for them.
+    """
+    gk, fp = gk_rule(), fp_rule()
+    gk_ok = fp_ok = seq_ok = True
+    transients = {}
+    for n in range(n_max + 1):
+        start = Configuration((n,)) if n else Configuration()
+        end, t = _orbit_end(start, gk)
+        gk_ok &= t is not None and end == gk_equilibrium_shape(n)
+        end, t = _orbit_end(start, fp)
+        fp_ok &= t is not None and end == fp_equilibrium_shape(n)
+        if n <= 8:
+            transients[n] = t
+        if n <= 12:
+            lengths = sequential_spm_orbit(start).path_lengths
+            seq_ok &= lengths == frozenset({gk_transient_time(n)})
+    return [
+        CheckResult("gk-equilibrium-shapes", gk_ok, f"n <= {n_max}"),
+        CheckResult("fp-equilibrium-shapes", fp_ok, f"n <= {n_max}"),
+        CheckResult("sequential-transients", seq_ok, f"n <= {min(n_max, 12)}"),
         CheckResult(
             "fp-transients-recorded",
             True,
             f"measured, no closed form asserted: {transients}",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def verify_commutation(seed: int = 0, cases: int = 1000) -> list[CheckResult]:

@@ -192,13 +192,10 @@ def _policy_from_args(args) -> RulesetPolicy:
     )
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def _digraph_dot(d) -> list[str]:
     lines = ["digraph transitions {", "  rankdir=TB;"]
-    label = {node: _dot_escape(to_literal(node)) for node in d.nodes}
+    # a literal holds only digits, '-', ',' and '|', so it needs no escaping in a DOT id
+    label = {node: to_literal(node) for node in d.nodes}
     equilibria = set(d.equilibria)
     for node in d.nodes:
         extras = ' [peripheries=2]' if node in equilibria else ""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class NegativeValue(ValueError):
@@ -43,12 +43,6 @@ class LatticeWindow:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty window: lo={self.lo} > hi={self.hi}")
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    def __contains__(self, x: int) -> bool:
-        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -146,20 +140,6 @@ class HeightProfile(_LatticeState):
         return tuple((x, v) for x, v in self.cells() if v < 0)
 
 
-def normalize(raw_values: Iterable[int], offset: int = 0) -> Configuration:
-    """Canonical trimmed configuration for the given cell values.
-
-    Leading/trailing zeros are dropped and the offset adjusted accordingly;
-    an all-zero input yields the zero configuration.
-    """
-    return Configuration(tuple(raw_values), offset)
-
-
-def total_granules(c: _LatticeState) -> int:
-    """Sum of all cell values."""
-    return c.total()
-
-
 def height_profile(c: Configuration) -> HeightProfile:
     """Differences h(x) = c(x) - c(x+1) between successive columns.
 
@@ -167,16 +147,6 @@ def height_profile(c: Configuration) -> HeightProfile:
     """
     padded = (0, *c.values, 0)
     return HeightProfile([a - b for a, b in zip(padded, padded[1:])], c.offset - 1)
-
-
-def shift(state: _LatticeState, a: int):
-    """Translation operator: value of result at x equals input value at x+a."""
-    return state.shift(a)
-
-
-def translation_equivalent(c1: _LatticeState, c2: _LatticeState) -> bool:
-    """True iff the two states coincide up to a lattice translation."""
-    return c1.values == c2.values
 
 
 def is_gk_stable(c: Configuration) -> bool:
@@ -193,11 +163,6 @@ def is_fp_stable(c: Configuration) -> bool:
     ``fp_rule((-2, -1, 1, 2), (1, 2, 2, 1))``, where it is 6, yet is not Boolean.
     """
     return all(v in (0, 1) for v in c.values)
-
-
-def is_perfect_support(c: Configuration) -> bool:
-    """Nonzero with no internal gaps: every cell of the support is occupied."""
-    return bool(c.values) and all(v > 0 for v in c.values)
 
 
 def parse_literal(text: str) -> Configuration:

@@ -65,7 +65,8 @@ class RulesetPolicy:
 
     ``hr_convention`` freezes every horizontal move whose source column has
     height 1 (so Boolean configurations stay put); ``hr_summary_strict``
-    narrows the freeze to the isolated ``0,1,0`` pattern only.
+    narrows the freeze to the isolated ``0,1,0`` pattern only, and so
+    raises ``ValueError`` without ``hr_convention``, where it would do nothing.
     ``bt_height_floor`` is the minimum source height for bottom-up jumps;
     the floor is never below 1, so empty plateaus cannot fire.
     """
@@ -90,6 +91,8 @@ class RulesetPolicy:
         floor = operator.index(self.bt_height_floor)
         if floor < 1:
             raise ValueError("bt_height_floor must be at least 1")
+        if self.hr_summary_strict and not self.hr_convention:
+            raise ValueError("hr_summary_strict narrows hr_convention, which is off")
         object.__setattr__(self, "enabled", enabled)
         object.__setattr__(self, "bt_height_floor", floor)
 

@@ -1,3 +1,4 @@
+import ast
 import random
 
 import pytest
@@ -6,14 +7,12 @@ from conftest import cfg
 from sandlab import analysis
 from sandlab.analysis import (
     BoundExceeded,
-    conservation_audit,
     decompose_triangular,
     enumerate_partition_spaces,
     fp_equilibrium_shape,
     gk_equilibrium_shape,
     gk_transient_time,
     nn_search,
-    prediction_crosscheck,
     verify_commutation,
     verify_conservation,
     verify_nn,
@@ -21,7 +20,7 @@ from sandlab.analysis import (
     verify_shapes,
 )
 from sandlab.pile import Configuration, is_fp_stable, is_gk_stable
-from sandlab.rules import RuleKind, RuleSpec, const_g1_rule, gen1g_step, gen1g_rule, gk_rule
+from sandlab.rules import RuleKind, RuleSpec, const_g1_rule, gen1g_step, gen1g_rule, gk_rule, step
 
 
 def brute_force_triangular(n):
@@ -128,21 +127,21 @@ class TestNNSearch:
 
 
 class TestConservationAudit:
+    """Totals before and after one parallel step."""
+
     def test_gk_is_clean_on_random_samples(self):
         rng = random.Random(11)
-        sample = [
-            Configuration([rng.randint(0, 9) for _ in range(rng.randint(1, 15))])
-            for _ in range(1000)
-        ]
-        assert conservation_audit(gk_rule(), sample) == []
+        for _ in range(1000):
+            c = Configuration([rng.randint(0, 9) for _ in range(rng.randint(1, 15))])
+            assert step(c, gk_rule()).total() == c.total()
 
     def test_const_g1_known_witness(self):
         witness = cfg("0,4|0,4,0")
-        audit = conservation_audit(RuleSpec(RuleKind.CONSTANT_G1), [witness])
-        assert audit == [(witness, 8, 12)]
+        assert witness.total() == 8
+        assert step(witness, RuleSpec(RuleKind.CONSTANT_G1)).total() == 12
 
     def test_zero_configuration_never_mismatches(self):
-        assert conservation_audit(RuleSpec(RuleKind.CONSTANT_G1), [Configuration()]) == []
+        assert step(Configuration(), RuleSpec(RuleKind.CONSTANT_G1)).total() == 0
 
 
 def independent_composition_counts(n):
@@ -187,14 +186,16 @@ class TestPartitionSpaces:
 
 
 class TestPredictionCrosscheck:
+    """``verify_shapes`` plays the closed forms against the engines."""
+
     def test_small_run_is_clean_and_records_fp_transients(self):
-        report = prediction_crosscheck(6)
-        assert report.all_ok
-        by_n = {row.n: row for row in report.rows}
-        assert by_n[6].fp_transient == 8
+        checks = verify_shapes(6)
+        assert all(c.passed for c in checks)
+        recorded = {c.name: c.detail for c in checks}["fp-transients-recorded"]
+        assert ast.literal_eval(recorded.partition("asserted: ")[2])[6] == 8
 
     def test_trivial_run(self):
-        assert prediction_crosscheck(1).all_ok
+        assert all(c.passed for c in verify_shapes(1))
 
 
 class TestVerifySuites:

@@ -183,23 +183,25 @@ class TestRunJsonGolden:
 
 
 class TestDigraphJsonGolden:
-    """``digraph --out json`` pinned byte for byte."""
+    """``digraph --out json`` pinned byte for byte, and one ``--out dot`` document."""
 
     @pytest.mark.parametrize(
         "golden, argv, exit_code",
         [
-            ("digraph-5421-vrd.json", ["--init", "5,4,2,1", "--rules", "vr_d"], 0),
+            ("digraph-5421-vrd.json", ["--init", "5,4,2,1", "--rules", "vr_d", "--out", "json"], 0),
             (
                 "digraph-3-vr-hr-quotient.json",
-                ["--init", "3", "--rules", "vr_d,vr_s,hr_d,hr_s", "--quotient-translations"],
+                ["--init", "3", "--rules", "vr_d,vr_s,hr_d,hr_s", "--quotient-translations",
+                 "--out", "json"],
                 0,
             ),
-            ("digraph-6-node-cap-1.json", ["--init", "6", "--node-cap", "1"], 4),
+            ("digraph-6-node-cap-1.json", ["--init", "6", "--node-cap", "1", "--out", "json"], 4),
+            ("digraph-5421-vrd.dot", ["--init", "5,4,2,1", "--rules", "vr_d", "--out", "dot"], 0),
         ],
-        ids=["5421-vrd", "3-quotient", "node-cap-1"],
+        ids=["5421-vrd", "3-quotient", "node-cap-1", "5421-vrd-dot"],
     )
     def test_stdout_bytes(self, capsys, golden, argv, exit_code):
-        code, out, _ = run_cli(capsys, "digraph", *argv, "--out", "json")
+        code, out, _ = run_cli(capsys, "digraph", *argv)
         assert code == exit_code
         assert out.encode() == (GOLDEN / golden).read_bytes()
 
@@ -261,6 +263,17 @@ class TestDigraphCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "depth_cap" in err
+
+    def test_summary_strict_without_the_convention_is_rejected(self, capsys):
+        # the strict flag once did nothing here: same bytes, same exit 4, with or without it
+        code, out, err = run_cli(
+            capsys,
+            "digraph", "--init", "2,1", "--node-cap", "300", "--out", "json",
+            "--no-hr-convention", "--hr-summary-strict",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "hr_summary_strict" in err
 
     def test_json_round_trips_through_the_literal_grammar(self, capsys):
         code, out, _ = run_cli(
@@ -421,6 +434,17 @@ class TestDecomposeCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "depth_cap" in err
+
+    @pytest.mark.parametrize("necessity", [(), ("--necessity",)], ids=["plain", "necessity"])
+    def test_summary_strict_without_the_convention_is_rejected(self, capsys, necessity):
+        code, out, err = run_cli(
+            capsys,
+            "decompose", "--source", "3", "--target", "2,1",
+            "--no-hr-convention", "--hr-summary-strict", *necessity,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "hr_summary_strict" in err
 
     @pytest.mark.parametrize("necessity", [(), ("--necessity",)], ids=["plain", "necessity"])
     def test_a_tight_node_cap_is_inconclusive(self, capsys, necessity):

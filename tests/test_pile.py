@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,36 +20,33 @@ from sandlab.pile import (
     height_profile,
     is_fp_stable,
     is_gk_stable,
-    is_perfect_support,
-    normalize,
     parse_height_literal,
     parse_literal,
-    shift,
     to_literal,
-    total_granules,
-    translation_equivalent,
 )
 
 
 class TestNormalize:
+    """Constructing a state canonicalizes it: zeros trimmed, offset adjusted."""
+
     def test_trims_zeros_and_adjusts_offset(self):
-        c = normalize([0, 0, 6, 0], -2)
+        c = Configuration((0, 0, 6, 0), -2)
         assert c.values == (6,)
         assert c.offset == 0
 
     def test_already_canonical_is_unchanged(self):
-        c = normalize([5, 4, 2, 1], 0)
+        c = Configuration((5, 4, 2, 1), 0)
         assert c.values == (5, 4, 2, 1)
         assert c.offset == 0
 
     def test_all_zero_collapses_to_the_zero_configuration(self):
-        c = normalize([0], 7)
+        c = Configuration((0,), 7)
         assert c.is_zero
         assert c == Configuration()
 
     def test_rejects_negative_counts(self):
         with pytest.raises(NegativeValue):
-            normalize([1, -2, 3], 0)
+            Configuration((1, -2, 3), 0)
 
     @pytest.mark.parametrize("state_type", [Configuration, HeightProfile])
     @pytest.mark.parametrize(
@@ -59,8 +58,8 @@ class TestNormalize:
 
     @given(st.lists(st.integers(0, 9), max_size=15), st.integers(-5, 5))
     def test_idempotent(self, values, offset):
-        once = normalize(values, offset)
-        assert normalize(once.values, once.offset) == once
+        once = Configuration(values, offset)
+        assert Configuration(once.values, once.offset) == once
 
 
 class TestLiterals:
@@ -120,6 +119,14 @@ class TestLiterals:
         assert to_literal(Configuration((2,), 1)) == "0,2"
         assert to_literal(Configuration((1,), -2)) == "1,0|0"
 
+    @given(st.one_of(configurations, height_profiles), st.integers(0, 4), st.integers(0, 4))
+    def test_literals_hold_only_digits_signs_commas_and_the_origin(self, state, left, right):
+        # DOT output quotes literals as node ids without escaping them
+        stored = (state.offset, state.offset + max(len(state.values) - 1, 0))
+        window = LatticeWindow(stored[0] - left, stored[1] + right)
+        for text in (to_literal(state), to_literal(state, window)):
+            assert re.fullmatch(r"[0-9,|-]+", text)
+
     @given(configurations)
     def test_round_trip(self, c):
         assert parse_literal(to_literal(c)) == c
@@ -131,9 +138,9 @@ class TestLiterals:
 
 class TestTotals:
     def test_pinned_totals(self):
-        assert total_granules(cfg("8,1,5")) == 14
-        assert total_granules(cfg("5,4,2,1")) == 12
-        assert total_granules(Configuration()) == 0
+        assert cfg("8,1,5").total() == 14
+        assert cfg("5,4,2,1").total() == 12
+        assert Configuration().total() == 0
 
 
 class TestHeightProfile:
@@ -160,40 +167,35 @@ class TestHeightProfile:
 
     @given(configurations, st.integers(-10, 10))
     def test_commutes_with_shift(self, c, a):
-        assert height_profile(shift(c, a)) == shift(height_profile(c), a)
+        assert height_profile(c.shift(a)) == height_profile(c).shift(a)
 
 
 class TestShift:
     def test_left_shift_moves_values_right(self):
-        assert shift(cfg("0,1|0,1,0"), 1) == cfg("1,0|1,0,0")
+        assert cfg("0,1|0,1,0").shift(1) == cfg("1,0|1,0,0")
 
     def test_identity(self):
         c = cfg("5,4,2,1")
-        assert shift(c, 0) == c
+        assert c.shift(0) == c
 
     @given(configurations, st.integers(-10, 10), st.integers(-10, 10))
     def test_group_law(self, c, a, b):
-        assert shift(shift(c, b), a) == shift(c, a + b)
-        assert shift(shift(c, a), -a) == c
+        assert c.shift(b).shift(a) == c.shift(a + b)
+        assert c.shift(a).shift(-a) == c
 
 
 class TestTranslationEquivalence:
+    """Translates share their canonical values: the quotient digraph keys states by them."""
+
     def test_translates_with_equal_values_are_equivalent(self):
-        assert translation_equivalent(cfg("1,1|1,0"), cfg("0,0|1,1,1"))
+        assert cfg("1,1|1,0").values == cfg("0,0|1,1,1").values
 
     def test_different_value_lists_are_not(self):
-        assert not translation_equivalent(cfg("1,1"), cfg("1,0,1"))
-
-    def test_zero_vs_zero(self):
-        assert translation_equivalent(Configuration(), Configuration())
+        assert cfg("1,1").values != cfg("1,0,1").values
 
     @given(configurations, st.integers(-10, 10))
     def test_shifts_are_equivalent(self, c, a):
-        assert translation_equivalent(c, shift(c, a))
-
-    @given(configurations, configurations)
-    def test_symmetric(self, c1, c2):
-        assert translation_equivalent(c1, c2) == translation_equivalent(c2, c1)
+        assert c.shift(a).values == c.values
 
 
 class TestStabilityPredicates:
@@ -210,11 +212,6 @@ class TestStabilityPredicates:
         assert is_fp_stable(cfg("0,1,1,0,0,0,0,1,0,1"))
         assert not is_fp_stable(cfg("2,0"))
         assert is_fp_stable(Configuration())
-
-    def test_perfect_support(self):
-        assert is_perfect_support(cfg("5,4,2,1"))
-        assert not is_perfect_support(cfg("2,0,2"))
-        assert not is_perfect_support(Configuration())
 
 
 def _near(state, margin):
@@ -286,8 +283,3 @@ class TestLatticeWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             LatticeWindow(3, 2)
-
-    def test_length_and_membership(self):
-        w = LatticeWindow(-1, 1)
-        assert len(w) == 3
-        assert 0 in w and 2 not in w

@@ -12,7 +12,6 @@ from sandlab.pile import (
     height_profile,
     is_fp_stable,
     is_gk_stable,
-    shift,
 )
 from sandlab.rules import (
     FpTripletCase,
@@ -152,7 +151,7 @@ class TestGkStep:
 
     @given(configurations, st.integers(-10, 10))
     def test_shift_equivariance(self, c, a):
-        assert gk_step(shift(c, a)) == shift(gk_step(c), a)
+        assert gk_step(c.shift(a)) == gk_step(c).shift(a)
 
     @given(configurations)
     def test_never_grows_left(self, c):
@@ -214,7 +213,7 @@ class TestFpStep:
 
     @given(configurations, st.integers(-10, 10))
     def test_shift_equivariance(self, c, a):
-        assert fp_step(shift(c, a)) == shift(fp_step(c), a)
+        assert fp_step(c.shift(a)) == fp_step(c).shift(a)
 
     @given(st.lists(st.integers(0, 6), max_size=8), st.integers(0, 6))
     def test_preserves_origin_symmetry(self, half, middle):
@@ -309,7 +308,7 @@ class TestHeightStep:
 
     @given(height_profiles, st.integers(-10, 10))
     def test_shift_equivariance(self, h, a):
-        assert height_step(shift(h, a)) == shift(height_step(h), a)
+        assert height_step(h.shift(a)) == height_step(h).shift(a)
 
     @given(configurations)
     def test_intertwines_with_gk_dynamics(self, c):
@@ -330,12 +329,12 @@ class TestSymmetricStep:
     @given(small_configurations, st.integers(-10, 10))
     def test_shift_equivariance(self, c, a):
         try:
-            expected = shift(symmetric_step(c), a)
+            expected = symmetric_step(c).shift(a)
         except NegativityWitness:
             with pytest.raises(NegativityWitness):
-                symmetric_step(shift(c, a))
+                symmetric_step(c.shift(a))
             return
-        assert symmetric_step(shift(c, a)) == expected
+        assert symmetric_step(c.shift(a)) == expected
 
     def test_orbit_via_the_dispatcher(self):
         trace = orbit(cfg("2"), sm1_rule())

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cfg, count_paths, small_configurations
 from sandlab import sequential
-from sandlab.pile import Configuration, translation_equivalent
+from sandlab.pile import Configuration
 from sandlab.rules import gk_rule, orbit
 from sandlab.sequential import (
     BT_FAMILY,
@@ -91,6 +91,13 @@ class TestConventions:
         assert applicable_moves(cfg("1"), strict) == []
         # 1,1,0 pattern may slide under the narrow reading
         assert SequentialMove(MoveRule.HR_D, 1) in applicable_moves(cfg("1,1"), strict)
+
+    def test_summary_strict_needs_the_convention(self):
+        # without the convention there is no freeze for the strict reading to narrow
+        with pytest.raises(ValueError, match="hr_summary_strict"):
+            RulesetPolicy(hr_convention=False, hr_summary_strict=True)
+        RulesetPolicy(hr_convention=True, hr_summary_strict=True)
+        RulesetPolicy(hr_convention=False, hr_summary_strict=False)
 
     def test_bt_floor_selects_the_plateau_height(self):
         c = cfg("0,2|1,1,0")
@@ -232,9 +239,7 @@ class TestExploreDigraph:
         icepile = RulesetPolicy(enabled=VR_FAMILY | HR_FAMILY)
         full = explore_digraph(cfg("3"), icepile)
         assert len(full.equilibria) == 3
-        assert all(
-            translation_equivalent(e, full.equilibria[0]) for e in full.equilibria
-        )
+        assert all(e.values == full.equilibria[0].values for e in full.equilibria)
         quotient = explore_digraph(cfg("3"), icepile, quotient_translations=True)
         assert len(quotient.equilibria) == 1
         assert len(quotient.nodes) < len(full.nodes)

@@ -25,15 +25,16 @@ from sandlab.sequential import (
 configurations = st.builds(
     Configuration, st.lists(st.integers(0, 4), max_size=5), st.integers(-3, 3)
 )
-policies = st.builds(
-    RulesetPolicy,
-    enabled=st.sets(st.sampled_from(RULE_ORDER), min_size=1),
-    hr_convention=st.booleans(),
-    hr_summary_strict=st.booleans(),
-    bt_height_floor=st.sampled_from((1, 2)),
-)
+# (hr_convention, hr_summary_strict): the strict freeze narrows the convention, so needs it on
+hr_settings = st.sampled_from(((True, False), (True, True), (False, False)))
 # hr_convention, hr_summary_strict, bt_height_floor: all a policy sets beside ``enabled``
-conventions = st.tuples(st.booleans(), st.booleans(), st.sampled_from((1, 2, 3)))
+conventions = st.builds(lambda hr, floor: (*hr, floor), hr_settings, st.sampled_from((1, 2, 3)))
+policies = st.builds(
+    lambda enabled, hr, floor: RulesetPolicy(enabled, *hr, floor),
+    st.sets(st.sampled_from(RULE_ORDER), min_size=1),
+    hr_settings,
+    st.sampled_from((1, 2)),
+)
 node_caps = st.sampled_from((1, 3, 50, 400))
 depth_caps = st.sampled_from((None, 0, 1, 2, 5))
 
