@@ -56,18 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _rule_from_args(args) -> RuleSpec:
-    kind = _RULE_KINDS[args.rule]
+    # RuleSpec rejects a neighborhood or distribution that the kind fixes otherwise
     hood = _parse_int_list(args.neighborhood, "--neighborhood")
     dist = _parse_int_list(args.distribution, "--distribution")
-    if kind in (RuleKind.GK, RuleKind.HEIGHT_DIFF, RuleKind.SYMMETRIC_SM1):
-        if hood is not None or dist is not None:
-            raise ValueError(
-                f"--neighborhood/--distribution do not apply to rule {kind.value!r}"
-            )
-        return RuleSpec(kind)
-    if kind is RuleKind.CONSTANT_G1 and dist is not None:
-        raise ValueError("const-g1 fixes the distribution to 1")
-    return RuleSpec(kind, (-1, 1) if hood is None else hood, dist)
+    return RuleSpec(_RULE_KINDS[args.rule], (-1, 1) if hood is None else hood, dist)
 
 
 def _list_tokens(text: str, flag: str) -> list[str]:
@@ -256,11 +248,17 @@ def cmd_decompose(args) -> int:
             policy=_policy_from_args(args),
         )
         for name, result in report.rows:
-            verdict = "reachable" if result.reachable else "unreachable"
-            if result.budget_exceeded and not result.reachable:
-                verdict += " (budget exceeded, inconclusive)"
-            if result.reachable:
-                verdict += f" (shortest length {result.depth})"
+            if not result.reachable:
+                verdict = "unreachable"
+                if result.budget_exceeded:
+                    verdict += " (budget exceeded, inconclusive)"
+            elif result.depth is None:
+                verdict = (
+                    f"reachable (contains {report.minimal_family}; "
+                    "budget exceeded before its shortest length)"
+                )
+            else:
+                verdict = f"reachable (shortest length {result.depth})"
             print(f"{name}: {verdict}")
         if report.minimal_family:
             print(f"minimal family: {report.minimal_family}")

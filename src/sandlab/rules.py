@@ -30,12 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .pile import Configuration, HeightProfile, NegativeValue, _LatticeState
-
-
-def heaviside(r: int) -> int:
-    """Unit step with H(0) = 1."""
-    return 1 if r >= 0 else 0
+from .pile import Configuration, HeightProfile, _LatticeState
 
 
 class RuleKind(Enum):
@@ -282,75 +277,6 @@ def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:
         for y, w in zip(rule.neighborhood, rule._weights):
             out = [v + w * (w * (a - c) >= th) for v, a, c in zip(out, padded[r - y :], centre)]
     return out, state.offset - r
-
-
-class GkTripletCase(Enum):
-    """Local behaviour of the vertical rule on a cell and its two neighbours."""
-
-    SPZ1 = "SPZ1"  # critical jumps on both sides: gain and loss cancel
-    SPZ2 = "SPZ2"  # no critical jump: untouched
-    SPZ3 = "SPZ3"  # critical jump on the right only: loses one granule
-    SPZ4 = "SPZ4"  # critical jump on the left only: gains one granule
-
-    @property
-    def mid_delta(self) -> int:
-        return {"SPZ1": 0, "SPZ2": 0, "SPZ3": -1, "SPZ4": 1}[self.value]
-
-
-class FpTripletCase(Enum):
-    """Local behaviour of the threshold rule on a cell and its two neighbours."""
-
-    SFP1 = "SFP1"
-    SFP2 = "SFP2"
-    SFP3 = "SFP3"
-    SFP4 = "SFP4"
-    SFP5 = "SFP5"
-    SFP6 = "SFP6"
-    SFP7 = "SFP7"
-    SFP8 = "SFP8"
-
-    @property
-    def mid_delta(self) -> int:
-        return {
-            "SFP1": 0,
-            "SFP2": 1,
-            "SFP3": 1,
-            "SFP4": 2,
-            "SFP5": -2,
-            "SFP6": -1,
-            "SFP7": -1,
-            "SFP8": 0,
-        }[self.value]
-
-
-def classify_gk_triplet(left: int, mid: int, right: int) -> GkTripletCase:
-    """Case tag for the vertical rule, determined by its two gate values."""
-    if min(left, mid, right) < 0:
-        raise NegativeValue(f"triplet entries must be non-negative: {(left, mid, right)}")
-    gates = (heaviside(left - mid - 2), heaviside(mid - right - 2))
-    return {
-        (1, 1): GkTripletCase.SPZ1,
-        (0, 0): GkTripletCase.SPZ2,
-        (0, 1): GkTripletCase.SPZ3,
-        (1, 0): GkTripletCase.SPZ4,
-    }[gates]
-
-
-def classify_fp_triplet(left: int, mid: int, right: int) -> FpTripletCase:
-    """Case tag for the default threshold rule (theta = 2)."""
-    if min(left, mid, right) < 0:
-        raise NegativeValue(f"triplet entries must be non-negative: {(left, mid, right)}")
-    gates = (heaviside(mid - 2), heaviside(left - 2), heaviside(right - 2))
-    return {
-        (0, 0, 0): FpTripletCase.SFP1,
-        (0, 0, 1): FpTripletCase.SFP2,
-        (0, 1, 0): FpTripletCase.SFP3,
-        (0, 1, 1): FpTripletCase.SFP4,
-        (1, 0, 0): FpTripletCase.SFP5,
-        (1, 0, 1): FpTripletCase.SFP6,
-        (1, 1, 0): FpTripletCase.SFP7,
-        (1, 1, 1): FpTripletCase.SFP8,
-    }[gates]
 
 
 # names resolved at call time, so a wrapper bound to one (a tracer) sees every step

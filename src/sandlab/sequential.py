@@ -41,6 +41,9 @@ class MoveRule(Enum):
     BT_D = "BTd"
     BT_S = "BTs"
 
+    # the members are singletons, so identity hashes them; Enum's own hash runs in Python
+    __hash__ = object.__hash__
+
 
 RULE_ORDER: tuple[MoveRule, ...] = tuple(MoveRule)
 
@@ -216,9 +219,6 @@ class TransitionDigraph:
     levels: dict[Configuration, int]
     node_cap_reached: bool
     quotient_translations: bool = False
-
-    def __contains__(self, node: Configuration) -> bool:
-        return node in self.levels
 
 
 def explore_digraph(
@@ -464,7 +464,13 @@ NECESSITY_FAMILIES: tuple[tuple[str, frozenset[MoveRule]], ...] = (
 
 @dataclass(frozen=True)
 class NecessityReport:
-    """Reachability of a target under the nested move families."""
+    """Reachability of a target under the nested move families.
+
+    A row with ``reachable`` and ``budget_exceeded`` both set belongs to a
+    family larger than ``minimal_family``: it holds that family's path, but
+    its node cap ran out before its own shortest length was found (``depth``
+    None).
+    """
 
     rows: tuple[tuple[str, DecompositionResult], ...]
     minimal_family: str | None
@@ -486,6 +492,8 @@ def necessity_analysis(
     """Which nested move family first reaches the target, if any.
 
     Each family runs under ``policy``'s conventions with its own moves; the rows carry no paths.
+    Once a family reaches the target at depth L, the larger ones search to depth L only:
+    a move's guard does not depend on the other enabled moves, so they hold its path.
     """
     rows = []
     minimal = None
@@ -498,9 +506,12 @@ def necessity_analysis(
             node_cap=node_cap,
             max_paths=0,
         )
+        if minimal is None:
+            if result.reachable:
+                minimal, depth_cap = name, result.depth
+        elif not result.reachable:  # the node cap cut the search short of depth L
+            result = replace(result, reachable=True)
         rows.append((name, result))
-        if result.reachable and minimal is None:
-            minimal = name
     return NecessityReport(tuple(rows), minimal)
 
 
@@ -538,25 +549,3 @@ def sequential_spm_orbit(c0: Configuration) -> SpmOrbitSummary:
     if any(levels[b] != levels[a] + 1 for a, _, b in digraph.edges):
         raise RuntimeError("a vertical-rule edge does not climb one BFS level")
     return SpmOrbitSummary(digraph, equilibrium, frozenset({levels[equilibrium]}))
-
-
-def mirror_image(c: Configuration) -> Configuration:
-    """Reflection about the origin: value at x becomes value at -x."""
-    if c.is_zero:
-        return c
-    return Configuration(tuple(reversed(c.values)), -c.support.hi)
-
-
-_MIRROR = {
-    MoveRule.VR_D: MoveRule.VR_S,
-    MoveRule.VR_S: MoveRule.VR_D,
-    MoveRule.HR_D: MoveRule.HR_S,
-    MoveRule.HR_S: MoveRule.HR_D,
-    MoveRule.BT_D: MoveRule.BT_S,
-    MoveRule.BT_S: MoveRule.BT_D,
-}
-
-
-def mirror_move(move: SequentialMove) -> SequentialMove:
-    """The move corresponding to ``move`` after reflecting about the origin."""
-    return SequentialMove(_MIRROR[move.rule], -move.site)

@@ -3,9 +3,9 @@
 A differential oracle for the stencil kernel of ``sandlab.rules``: each
 function below evaluates its rule cell by cell through ``value_at`` and shares
 no arithmetic with the kernel; ``gen1g_step`` returns the raw untrimmed
-:class:`SignedImage` window, which ``step`` trims.  ``payout``, ``expand``
-and ``cells`` are the rule and window helpers these loops read; the engine
-itself needs none of them.
+:class:`SignedImage` window, which ``step`` trims.  ``heaviside`` (the unit
+step, H(0) = 1), ``payout``, ``expand`` and ``cells`` are the helpers these
+loops read; the engine itself needs none of them.
 """
 
 from __future__ import annotations
@@ -18,11 +18,15 @@ from sandlab.rules import (
     RuleKind,
     RuleSpec,
     fp_rule,
-    heaviside,
     height_rule,
 )
 
 _GENERALIZED_KINDS = (RuleKind.GEN_1G, RuleKind.GEN_1G_PRIME, RuleKind.CONSTANT_G1)
+
+
+def heaviside(r: int) -> int:
+    """Unit step with H(0) = 1."""
+    return 1 if r >= 0 else 0
 
 
 @dataclass(frozen=True)

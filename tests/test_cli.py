@@ -109,6 +109,36 @@ class TestRunCommand:
         assert "neighborhood" in err
 
     @pytest.mark.parametrize(
+        "rule, flag, message",
+        [
+            ("gk", "--neighborhood=1,2", "rule kind 'gk' is fixed to"),
+            ("height", "--distribution=2,2", "rule kind 'height' is fixed to"),
+            ("sm1", "--neighborhood=-2,2", "rule kind 'sm1' is fixed to"),
+            ("const-g1", "--distribution=1,2", "const-g1 uses the constant unit distribution"),
+        ],
+    )
+    def test_a_value_the_kind_fixes_otherwise_exits_one(self, capsys, rule, flag, message):
+        code, out, err = run_cli(capsys, "run", "--rule", rule, "--init", "6", flag)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "rule, init, flag",
+        [
+            ("gk", "8,1,5", "--neighborhood=1,-1"),
+            ("height", "-6|6", "--distribution=1,1"),
+            ("sm1", "2,1", "--neighborhood=-1,1"),
+            ("const-g1", "2", "--distribution=1,1"),
+        ],
+    )
+    def test_the_fixed_value_itself_gives_the_default_bytes(self, capsys, rule, init, flag):
+        args = ["run", "--rule", rule, f"--init={init}", "--max-steps", "5"]
+        code, out, err = run_cli(capsys, *args, flag)
+        assert err == "" and out
+        assert (code, out, err) == run_cli(capsys, *args)
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ["--neighborhood="],
@@ -339,6 +369,19 @@ class TestDecomposeCommand:
             "VR+HR: reachable (shortest length 1)",
             "VR+HR+BT: reachable (shortest length 1)",
             "minimal family: VR+HR",
+        ]
+
+    def test_necessity_rows_above_the_minimal_family_are_reachable(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "decompose", "--source", "4", "--target", "2,1,1", "--necessity", "--node-cap", "8",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "VR: reachable (shortest length 3)",
+            "VR+HR: reachable (shortest length 3)",
+            "VR+HR+BT: reachable (contains VR; budget exceeded before its shortest length)",
+            "minimal family: VR",
         ]
 
     def test_necessity_rejects_rules(self, capsys):

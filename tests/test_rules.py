@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from enum import Enum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,13 +15,9 @@ from sandlab.pile import (
     is_gk_stable,
 )
 from sandlab.rules import (
-    FpTripletCase,
-    GkTripletCase,
     NegativityWitness,
     RuleKind,
     RuleSpec,
-    classify_fp_triplet,
-    classify_gk_triplet,
     const_g1_rule,
     fp_rule,
     fp_step,
@@ -29,7 +26,6 @@ from sandlab.rules import (
     gen1g_step,
     gk_rule,
     gk_step,
-    heaviside,
     height_rule,
     height_step,
     orbit,
@@ -110,12 +106,6 @@ def threshold_flow_oracle(c, rule):
     return Configuration([out[x] for x in cells], cells[0])
 
 
-def test_heaviside_convention():
-    assert heaviside(0) == 1
-    assert heaviside(3) == 1
-    assert heaviside(-1) == 0
-
-
 class TestGkStep:
     def test_815_orbit(self):
         trace = orbit(cfg("8,1,5"), gk_rule())
@@ -165,6 +155,61 @@ class TestGkStep:
         assert gk_step(c) == pairwise_flow_oracle(c)
 
 
+class _TripletCase(Enum):
+    """A case of the paper's local analysis: a gate pattern and the change of the middle cell."""
+
+    def __init__(self, gates, mid_delta):
+        self.gates = gates
+        self.mid_delta = mid_delta
+
+
+class GkTripletCase(_TripletCase):
+    """The SPZ cases of the vertical rule: (H(left - mid - 2), H(mid - right - 2))."""
+
+    SPZ1 = (1, 1), 0  # critical jumps on both sides: gain and loss cancel
+    SPZ2 = (0, 0), 0  # no critical jump: untouched
+    SPZ3 = (0, 1), -1  # critical jump on the right only: loses one granule
+    SPZ4 = (1, 0), 1  # critical jump on the left only: gains one granule
+
+    @staticmethod
+    def gates_at(left, mid, right):
+        return left - mid >= 2, mid - right >= 2
+
+
+class FpTripletCase(_TripletCase):
+    """The SFP cases of the threshold rule, theta = 2: (H(mid - 2), H(left - 2), H(right - 2))."""
+
+    SFP1 = (0, 0, 0), 0
+    SFP2 = (0, 0, 1), 1
+    SFP3 = (0, 1, 0), 1
+    SFP4 = (0, 1, 1), 2
+    SFP5 = (1, 0, 0), -2
+    SFP6 = (1, 0, 1), -1
+    SFP7 = (1, 1, 0), -1
+    SFP8 = (1, 1, 1), 0
+
+    @staticmethod
+    def gates_at(left, mid, right):
+        return mid >= 2, left >= 2, right >= 2
+
+
+def assert_case(step, triplet, tag):
+    """The triplet opens ``tag``'s gates, and ``step`` changes its middle cell by ``tag.mid_delta``."""
+    assert type(tag).gates_at(*triplet) == tag.gates, triplet
+    assert step(Configuration(triplet, -1)).value_at(0) == triplet[1] + tag.mid_delta, triplet
+
+
+def assert_every_triplet_in_its_case(cases, step):
+    """Every triple in 0..12, which opens every gate pattern, behaves as its case says."""
+    by_gates = {case.gates: case for case in cases}
+    seen = set()
+    for triplet in itertools.product(range(13), repeat=3):
+        case = by_gates[cases.gates_at(*triplet)]
+        assert_case(step, triplet, case)
+        seen.add(case)
+    assert seen == set(cases)
+
+
 class TestGkTriplets:
     @pytest.mark.parametrize(
         "triplet, tag",
@@ -179,13 +224,10 @@ class TestGkTriplets:
         ],
     )
     def test_pinned_cases(self, triplet, tag):
-        assert classify_gk_triplet(*triplet) is tag
+        assert_case(gk_step, triplet, tag)
 
     def test_exhaustive_agreement_with_step(self):
-        for l, m, r in itertools.product(range(13), repeat=3):
-            case = classify_gk_triplet(l, m, r)
-            stepped = gk_step(Configuration((l, m, r), -1)).value_at(0)
-            assert stepped == m + case.mid_delta, (l, m, r)
+        assert_every_triplet_in_its_case(GkTripletCase, gk_step)
 
 
 class TestFpStep:
@@ -284,13 +326,10 @@ class TestFpTriplets:
         ],
     )
     def test_cases(self, triplet, tag):
-        assert classify_fp_triplet(*triplet) is tag
+        assert_case(fp_step, triplet, tag)
 
     def test_exhaustive_agreement_with_step(self):
-        for l, m, r in itertools.product(range(13), repeat=3):
-            case = classify_fp_triplet(l, m, r)
-            stepped = fp_step(Configuration((l, m, r), -1)).value_at(0)
-            assert stepped == m + case.mid_delta, (l, m, r)
+        assert_every_triplet_in_its_case(FpTripletCase, fp_step)
 
 
 class TestHeightStep:

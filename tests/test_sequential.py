@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,6 @@ from sandlab.sequential import (
     decompose_parallel_transition,
     enumerate_paths,
     explore_digraph,
-    mirror_image,
-    mirror_move,
     necessity_analysis,
     sequential_spm_orbit,
 )
@@ -159,16 +158,41 @@ class TestApplyMove:
             assert apply_move(c, move).total() == c.total()
 
 
+# each rule's twin in the mirror
+MIRROR_RULE = {
+    MoveRule.VR_D: MoveRule.VR_S, MoveRule.VR_S: MoveRule.VR_D,
+    MoveRule.HR_D: MoveRule.HR_S, MoveRule.HR_S: MoveRule.HR_D,
+    MoveRule.BT_D: MoveRule.BT_S, MoveRule.BT_S: MoveRule.BT_D,
+}
+
+# every valid policy: three HR conventions, bt floors 1-3, any nonempty enabled set
+policies = st.builds(
+    lambda conventions, floor, enabled: RulesetPolicy(enabled, *conventions, floor),
+    st.sampled_from([(True, False), (True, True), (False, False)]),
+    st.integers(1, 3),
+    st.frozensets(st.sampled_from(list(MoveRule)), min_size=1),
+)
+
+
+def mirror(c):
+    """Reflection about the origin: the value at x goes to -x."""
+    return c if c.is_zero else Configuration(c.values[::-1], -c.support.hi)
+
+
+def mirror_move(move):
+    return SequentialMove(MIRROR_RULE[move.rule], -move.site)
+
+
 class TestMirrorSymmetry:
-    @given(small_configurations)
-    def test_move_sets_mirror(self, c):
-        mirrored = mirror_image(c)
-        expected = {str(mirror_move(m)) for m in applicable_moves(c, FULL)}
-        assert {str(m) for m in applicable_moves(mirrored, FULL)} == expected
+    @given(small_configurations, policies)
+    def test_move_sets_mirror(self, c, policy):
+        mirrored = replace(policy, enabled=frozenset(MIRROR_RULE[r] for r in policy.enabled))
+        expected = {mirror_move(m) for m in applicable_moves(c, policy)}
+        assert set(applicable_moves(mirror(c), mirrored)) == expected
 
     @given(small_configurations)
     def test_mirror_is_involutive(self, c):
-        assert mirror_image(mirror_image(c)) == c
+        assert mirror(mirror(c)) == c
 
 
 CLASSIC_5421_TRAJECTORIES = [
@@ -506,6 +530,14 @@ class TestNecessity:
         assert report.minimal_family == "VR+HR"
         assert report.result_for("VR+HR").depth == 1
         assert necessity_analysis(cfg("1"), cfg("0,1")).minimal_family is None
+
+    def test_larger_families_hold_the_minimal_familys_path(self):
+        # VR reaches 2,1,1 in 3 moves; 8 states are too few for VR+HR+BT to find its own length
+        report = necessity_analysis(cfg("4"), cfg("2,1,1"), node_cap=8)
+        assert report.minimal_family == "VR"
+        assert report.result_for("VR+HR").depth == 3
+        full = report.result_for("VR+HR+BT")
+        assert full.reachable and full.budget_exceeded and full.depth is None
 
     def test_rows_carry_no_paths(self):
         for source, target in (("0,1|2,1,0", "0,2|0,2,0"), ("3", "1|1,1"), ("0", "0")):
