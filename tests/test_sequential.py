@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +24,7 @@ from sandlab.sequential import (
     necessity_analysis,
     sequential_spm_orbit,
 )
+from test_sequential_oracle import conventions
 
 # non-increasing states of total at most 10, the inputs of ``sequential_spm_orbit``
 ordered_partitions = st.builds(
@@ -165,14 +165,6 @@ MIRROR_RULE = {
     MoveRule.BT_D: MoveRule.BT_S, MoveRule.BT_S: MoveRule.BT_D,
 }
 
-# every valid policy: three HR conventions, bt floors 1-3, any nonempty enabled set
-policies = st.builds(
-    lambda conventions, floor, enabled: RulesetPolicy(enabled, *conventions, floor),
-    st.sampled_from([(True, False), (True, True), (False, False)]),
-    st.integers(1, 3),
-    st.frozensets(st.sampled_from(list(MoveRule)), min_size=1),
-)
-
 
 def mirror(c):
     """Reflection about the origin: the value at x goes to -x."""
@@ -184,9 +176,11 @@ def mirror_move(move):
 
 
 class TestMirrorSymmetry:
-    @given(small_configurations, policies)
-    def test_move_sets_mirror(self, c, policy):
-        mirrored = replace(policy, enabled=frozenset(MIRROR_RULE[r] for r in policy.enabled))
+    @given(small_configurations, st.sets(st.sampled_from(list(MoveRule)), min_size=1), conventions)
+    def test_move_sets_mirror(self, c, enabled, conventions):
+        # every valid policy: any enabled set, the three HR settings, bt floors 1-3
+        policy = RulesetPolicy(enabled, *conventions)
+        mirrored = RulesetPolicy({MIRROR_RULE[rule] for rule in enabled}, *conventions)
         expected = {mirror_move(m) for m in applicable_moves(c, policy)}
         assert set(applicable_moves(mirror(c), mirrored)) == expected
 
