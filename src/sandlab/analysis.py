@@ -248,7 +248,8 @@ def verify_conservation(seed: int = 0, cases: int = 10_000) -> list[CheckResult]
         total = c.total()
         if gk_step(c).total() != total:
             bad_gk += 1
-        for move, values, _ in _successors(c, policy):  # the images the BFS itself explores
+        # the images the BFS itself explores
+        for move, values, _ in _successors(c.values, c.offset, policy):
             move_uses[move.rule] += 1
             if not (
                 values and values[0] and values[-1] and min(values) >= 0 and sum(values) == total

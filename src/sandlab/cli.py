@@ -356,9 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--target", required=True)
     decompose.add_argument("--necessity", action="store_true")
     decompose.add_argument(
-        "--depth-cap", type=int, help="BFS levels (default max(2n², 8), n the source total)"
+        "--depth-cap",
+        type=int,
+        help="BFS levels, or forward plus backward levels under --necessity "
+        "(default max(2n², 8), n the source total)",
     )
-    decompose.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP, help="default 10⁶")
+    decompose.add_argument(
+        "--node-cap",
+        type=int,
+        default=DEFAULT_NODE_CAP,
+        help="default 10⁶; under --necessity it counts the states stored from both ends",
+    )
     decompose.add_argument("--max-paths", type=int, default=None)
     decompose.set_defaults(func=cmd_decompose)
 

@@ -157,15 +157,15 @@ def _splice(padded: tuple[int, ...], lo: int, i: int, step: int) -> tuple[tuple[
     return tuple(vals[start:stop]), lo + start
 
 
-def _successors(c: Configuration, policy: RulesetPolicy):
-    """(move, values, offset) of every applicable move, by site then rule order, in one pass.
+def _successors(values: tuple[int, ...], offset: int, policy: RulesetPolicy):
+    """(move, values, offset) of every move applicable to a trimmed state, by site then rule order.
 
     Each image is given by its trimmed values and offset, spliced by
     ``_splice``; no ``Configuration`` is built.  The moves are interned in the
     policy: every image of a rule at a site shares one ``SequentialMove``.
     """
-    padded = (0, *c.values, 0)
-    lo = c.offset - 1  # lattice cell of padded[0]
+    padded = (0, *values, 0)
+    lo = offset - 1  # lattice cell of padded[0]
     table, interned = policy._moves, policy._interned
     out = []
     for i, triple in enumerate(zip(padded, padded[1:], padded[2:]), 1):
@@ -180,9 +180,43 @@ def _successors(c: Configuration, policy: RulesetPolicy):
     return out
 
 
+def _predecessors(values: tuple[int, ...], offset: int, policy: RulesetPolicy):
+    """(values, offset) of every state with an applicable move onto the given trimmed state.
+
+    A move shifts one granule by one cell, so the candidates are the state
+    with one granule of a cell ``j`` shifted back to ``j - step``.  A
+    candidate is kept only if the move table lists a move with that step at
+    its source site, so ``_guard`` alone decides which moves fire.
+    """
+    padded = (0, 0, *values, 0, 0)
+    lo = offset - 2  # lattice cell of padded[0]
+    table = policy._moves
+    out = []
+    for j in range(2, len(padded) - 2):
+        if not padded[j]:
+            continue
+        # the candidate's (left, mid, right) at its source j - step, which holds the granule
+        for step, triple in (
+            (1, (padded[j - 2], padded[j - 1] + 1, padded[j] - 1)),
+            (-1, (padded[j] - 1, padded[j + 1] + 1, padded[j + 2])),
+        ):
+            moves = table.get(triple)
+            if moves is None:
+                moves = _moves_at(triple, policy)
+            if any(s == step for _, s in moves):
+                vals = list(padded)
+                vals[j - step] += 1
+                vals[j] -= 1
+                # the source may sit one cell off the support, and cell j may empty at an end
+                start = 1 if vals[1] else 2 if vals[2] else 3
+                stop = len(vals) - (1 if vals[-2] else 2 if vals[-3] else 3)
+                out.append((tuple(vals[start:stop]), lo + start))
+    return out
+
+
 def applicable_moves(c: Configuration, policy: RulesetPolicy) -> list[SequentialMove]:
     """All moves whose guards hold, ascending by site then rule order."""
-    return [move for move, _, _ in _successors(c, policy)]
+    return [move for move, _, _ in _successors(c.values, c.offset, policy)]
 
 
 def apply_move(
@@ -253,11 +287,7 @@ def _bfs(
     only the equilibria expanded so far.  A node at the depth cap is not
     expanded, and sets ``node_cap_reached`` only if it has a move.
     """
-    if node_cap < 1:
-        raise ValueError("node_cap must be positive")
-    if depth_cap is not None and depth_cap < 0:
-        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
-
+    _check_caps(node_cap, depth_cap)
     # seen is keyed by the raw (values, offset), or values when quotienting, so a
     # Configuration is built only for a new node; its key shares the node's values
     seen: dict[object, Configuration] = {
@@ -272,7 +302,7 @@ def _bfs(
         level = levels[cur]
         if target in levels and level >= levels[target]:
             break
-        successors = _successors(cur, policy)
+        successors = _successors(cur.values, cur.offset, policy)
         if not successors:
             equilibria.append(cur)
         elif depth_cap is not None and level >= depth_cap:
@@ -300,6 +330,13 @@ def _bfs(
         node_cap_reached=truncated,
         quotient_translations=quotient_translations,
     )
+
+
+def _check_caps(node_cap: int, depth_cap: int | None) -> None:
+    if node_cap < 1:
+        raise ValueError("node_cap must be positive")
+    if depth_cap is not None and depth_cap < 0:
+        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
 
 
 def enumerate_paths(
@@ -427,14 +464,80 @@ def decompose_parallel_transition(
     enumerated within the caps.
     """
     _check_max_paths(max_paths)
-    if depth_cap is None:
-        n = source.total()
-        depth_cap = max(2 * n * n, 8)
-    d = _bfs(source, policy, node_cap, depth_cap, target=target)
+    d = _bfs(source, policy, node_cap, _depth_cap(source, depth_cap), target=target)
     if target in d.levels:
         paths, count = ((), None) if max_paths == 0 else _geodesics(d, target, max_paths)
         return DecompositionResult(True, paths, len(d.nodes), False, d.levels[target], count)
     return DecompositionResult(False, (), len(d.nodes), d.node_cap_reached, None)
+
+
+def _depth_cap(source: Configuration, depth_cap: int | None) -> int:
+    """The given depth cap, or the default ``max(2n², 8)`` for a source of total n."""
+    if depth_cap is not None:
+        return depth_cap
+    n = source.total()
+    return max(2 * n * n, 8)
+
+
+def _meet(
+    source: Configuration,
+    target: Configuration,
+    policy: RulesetPolicy,
+    depth_cap: int | None = None,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> DecompositionResult:
+    """Shortest length source -> target, searched from both ends until the two sides meet.
+
+    Level-synchronous meet in the middle (Pohl 1971) over raw ``(values,
+    offset)`` keys: each round expands the smaller frontier by one level,
+    forward by ``_successors`` or backward by ``_predecessors``, and the
+    search ends at the first state it reaches on the other side.
+
+    The verdict is exact when the sides meet, when either frontier empties
+    (an exhausted closure), or when the totals differ (every move keeps the
+    total; nothing is stored).  Otherwise the node cap, which counts the
+    states stored on both sides, or the depth cap, which bounds the forward
+    plus backward levels, stopped the search with both frontiers non-empty:
+    ``budget_exceeded``.  Both ends are stored first, so a node cap of 1
+    stops the search before its first level.  The result carries no paths.
+    """
+    _check_caps(node_cap, depth_cap)
+    if source.total() != target.total():
+        return DecompositionResult(False, (), 0, False, None)
+    depth_cap = _depth_cap(source, depth_cap)
+    start, goal = (source.values, source.offset), (target.values, target.offset)
+    if start == goal:
+        return DecompositionResult(True, (), 1, False, 0)
+    sides = ({start}, {goal})  # the states stored forward and backward
+    fronts = [[start], [goal]]  # the states of each side's last level
+    depths = [0, 0]
+    capped = node_cap < 2  # the node cap cut a level short; here, no room for both ends
+    while all(fronts) and not capped and sum(depths) < depth_cap:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        seen, other = sides[side], sides[1 - side]
+        new = []
+        for values, offset in fronts[side]:
+            if side:
+                images = _predecessors(values, offset, policy)
+            else:
+                images = [(v, o) for _, v, o in _successors(values, offset, policy)]
+            for key in images:
+                if key in other:
+                    # after each complete level the sides are disjoint, so the shortest
+                    # length exceeds both depths: this first meet gives it exactly
+                    stored = len(seen) + len(other)
+                    return DecompositionResult(True, (), stored, False, sum(depths) + 1)
+                if key not in seen:
+                    if len(seen) + len(other) >= node_cap:
+                        capped = True
+                    else:
+                        seen.add(key)
+                        new.append(key)
+        fronts[side] = new
+        depths[side] += 1
+    stored = len(sides[0]) + len(sides[1])
+    # an empty frontier is an exhausted closure; the depth cap stops with both non-empty
+    return DecompositionResult(False, (), stored, capped or all(fronts), None)
 
 
 def _geodesics(d: TransitionDigraph, target: Configuration, max_paths: int):
@@ -491,21 +594,15 @@ def necessity_analysis(
 ) -> NecessityReport:
     """Which nested move family first reaches the target, if any.
 
-    Each family runs under ``policy``'s conventions with its own moves; the rows carry no paths.
-    Once a family reaches the target at depth L, the larger ones search to depth L only:
+    Each family runs under ``policy``'s conventions with its own moves, searched
+    from both ends by ``_meet``; the rows carry no paths.  Once a family
+    reaches the target at depth L, the larger ones search to depth L only:
     a move's guard does not depend on the other enabled moves, so they hold its path.
     """
     rows = []
     minimal = None
     for name, family in NECESSITY_FAMILIES:
-        result = decompose_parallel_transition(
-            source,
-            target,
-            replace(policy, enabled=family),
-            depth_cap=depth_cap,
-            node_cap=node_cap,
-            max_paths=0,
-        )
+        result = _meet(source, target, replace(policy, enabled=family), depth_cap, node_cap)
         if minimal is None:
             if result.reachable:
                 minimal, depth_cap = name, result.depth

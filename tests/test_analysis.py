@@ -229,8 +229,8 @@ class TestVerifySuites:
         real = analysis._successors
         corrupted = []
 
-        def successors(c, policy):
-            out = real(c, policy)
+        def successors(values, offset, policy):
+            out = real(values, offset, policy)
             if out and not corrupted and len(out[0][1]) >= 2:
                 move, values, offset = out[0]
                 out[0] = (move, corrupt(values), offset)

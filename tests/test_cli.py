@@ -384,6 +384,26 @@ class TestDecomposeCommand:
             "minimal family: VR",
         ]
 
+    def test_necessity_of_a_different_total_is_a_plain_unreachable(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "decompose", "--source", "10", "--target", "9", "--necessity"
+        )
+        assert code == 2
+        assert out.splitlines() == [
+            "VR: unreachable",
+            "VR+HR: unreachable",
+            "VR+HR+BT: unreachable",
+            "minimal family: none",
+        ]
+
+    def test_necessity_certifies_a_target_without_predecessors(self, capsys):
+        # bottom-up jumps make the forward space infinite; 1|0,1 has no predecessor at all
+        code, out, _ = run_cli(
+            capsys, "decompose", "--source", "2", "--target", "1|0,1", "--necessity"
+        )
+        assert code == 2
+        assert "inconclusive" not in out
+
     def test_necessity_rejects_rules(self, capsys):
         code, out, err = run_cli(
             capsys,

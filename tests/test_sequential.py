@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import cfg, count_paths, small_configurations
 from sandlab import sequential
 from sandlab.pile import Configuration
-from sandlab.rules import gk_rule, orbit
+from sandlab.rules import fp_step, gk_rule, orbit
 from sandlab.sequential import (
     BT_FAMILY,
     HR_FAMILY,
@@ -492,6 +494,24 @@ class TestDecompose:
                 assert replay(c, path) == target
 
 
+class TestMeet:
+    def test_a_node_cap_that_leaves_no_room_is_inconclusive(self):
+        # 3 -> 1|1,1 takes two moves; caps 1 and 2 hold at most the two ends
+        for cap in (1, 2):
+            result = sequential._meet(cfg("3"), cfg("1|1,1"), VR_BOTH, node_cap=cap)
+            assert not result.reachable and result.budget_exceeded
+
+    def test_the_depth_cap_bounds_forward_plus_backward_levels(self):
+        for cap, reachable, depth in ((0, False, None), (1, False, None), (2, True, 2)):
+            result = sequential._meet(cfg("3"), cfg("1|1,1"), VR_BOTH, depth_cap=cap)
+            assert (result.reachable, result.depth) == (reachable, depth)
+            assert result.budget_exceeded is not reachable
+
+    def test_a_one_move_target_is_met_by_lookup_alone(self):
+        result = sequential._meet(cfg("3"), cfg("2,1"), VR_BOTH, node_cap=2)
+        assert (result.reachable, result.depth, result.explored_nodes) == (True, 1, 2)
+
+
 class TestNecessity:
     def test_four_granule_hump_needs_all_three_families(self):
         report = necessity_analysis(cfg("0,1|2,1,0"), cfg("0,2|0,2,0"))
@@ -507,10 +527,9 @@ class TestNecessity:
         report = necessity_analysis(cfg("2"), cfg("1|0,1"))
         assert all(not result.reachable for _, result in report.rows)
         assert report.minimal_family is None
-        assert not report.result_for("VR").budget_exceeded
-        assert not report.result_for("VR+HR").budget_exceeded
-        # bottom-up jumps make the space unbounded, so only a bounded verdict
-        assert report.result_for("VR+HR+BT").budget_exceeded
+        # bottom-up jumps make the forward space unbounded, but the target's
+        # backward closure is finite, so every verdict is exact
+        assert not any(result.budget_exceeded for _, result in report.rows)
 
     def test_three_granules_need_only_vertical_rules(self):
         report = necessity_analysis(cfg("3"), cfg("1|1,1"))
@@ -532,6 +551,48 @@ class TestNecessity:
         assert report.result_for("VR+HR").depth == 3
         full = report.result_for("VR+HR+BT")
         assert full.reachable and full.budget_exceeded and full.depth is None
+
+    def test_totals_that_differ_are_unreachable_without_a_search(self):
+        report = necessity_analysis(cfg("10"), cfg("9"), node_cap=1)
+        assert report.minimal_family is None
+        for _, result in report.rows:
+            assert not result.reachable and not result.budget_exceeded
+            assert result.explored_nodes == 0
+
+    @pytest.mark.parametrize(
+        "policy, census",
+        [
+            (RulesetPolicy(), {"VR": 325, "VR+HR": 61, "VR+HR+BT": 102, None: 4}),
+            (RulesetPolicy(hr_summary_strict=True), {"VR": 325, "VR+HR": 153, "VR+HR+BT": 14}),
+            (RulesetPolicy(bt_height_floor=2), {"VR": 325, "VR+HR": 61, None: 106}),
+        ],
+        ids=["default", "summary-strict", "bt-floor-2"],
+    )
+    def test_fp_census_has_exact_verdicts(self, policy, census):
+        # every fp transition c -> fp_step(c) of a non-fixed c from cell 0, width <= 4, values <= 4
+        pairs = []
+        for width in range(1, 5):
+            for values in itertools.product(range(5), repeat=width):
+                c = Configuration(values)
+                if values[0] and values[-1] and fp_step(c) != c:
+                    pairs.append((c, fp_step(c)))
+        assert len(pairs) == 492
+        counts = Counter()
+        unrealized = set()
+        for c, t in pairs:
+            report = necessity_analysis(c, t, policy=policy)
+            assert not any(result.budget_exceeded for _, result in report.rows), (c, t)
+            counts[report.minimal_family] += 1
+            if report.minimal_family is None:
+                unrealized.add((c, t))
+        assert counts == census
+        if policy == RulesetPolicy():
+            assert unrealized == {
+                (cfg("2"), cfg("1|0,1")),
+                (cfg("2,1,2"), cfg("1|0,3,0,1")),
+                (cfg("1,0,0,2"), cfg("1,0,1,0,1")),
+                (cfg("2,0,0,1"), cfg("1|0,1,0,1")),
+            }
 
     def test_rows_carry_no_paths(self):
         for source, target in (("0,1|2,1,0", "0,2|0,2,0"), ("3", "1|1,1"), ("0", "0")):

@@ -15,6 +15,8 @@ from sandlab.sequential import (
     InapplicableMove,
     RulesetPolicy,
     SequentialMove,
+    _meet,
+    _predecessors,
     _successors,
     applicable_moves,
     apply_move,
@@ -34,6 +36,12 @@ policies = st.builds(
     st.sets(st.sampled_from(RULE_ORDER), min_size=1),
     hr_settings,
     st.sampled_from((1, 2)),
+)
+# every valid policy; ``policies`` stops at the floors the CLI accepts
+all_policies = st.builds(
+    lambda enabled, conventions: RulesetPolicy(enabled, *conventions),
+    st.sets(st.sampled_from(RULE_ORDER), min_size=1),
+    conventions,
 )
 node_caps = st.sampled_from((1, 3, 50, 400))
 depth_caps = st.sampled_from((None, 0, 1, 2, 5))
@@ -91,6 +99,36 @@ def test_decompose_matches_the_reference(data, source, policy, node_cap, depth_c
 
 
 @settings(max_examples=300, deadline=None)
+@given(configurations, all_policies)
+def test_predecessors_invert_successors(c, policy):
+    key = (c.values, c.offset)
+    for _, values, offset in _successors(c.values, c.offset, policy):
+        assert key in _predecessors(values, offset, policy)
+    predecessors = _predecessors(c.values, c.offset, policy)
+    assert len(set(predecessors)) == len(predecessors)
+    for values, offset in predecessors:
+        p = Configuration(values, offset)
+        assert (p.values, p.offset) == (values, offset)  # trimmed, as the search keys states
+        assert key in [(v, o) for _, v, o in _successors(values, offset, policy)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), configurations, all_policies, node_caps, depth_caps)
+def test_meet_agrees_with_the_one_sided_search(data, source, policy, node_cap, depth_cap):
+    nearby = ref.explore_digraph(source, policy, node_cap=30, depth_cap=3).nodes
+    target = data.draw(st.one_of(st.sampled_from(nearby), configurations), label="target")
+    bfs = decompose_parallel_transition(source, target, policy, depth_cap, node_cap, max_paths=0)
+    meet = _meet(source, target, policy, node_cap=20_000)
+    if bfs.reachable or not bfs.budget_exceeded:
+        assert (meet.reachable, meet.depth, meet.budget_exceeded) == (bfs.reachable, bfs.depth, False)
+    # under the one-sided search's caps, the meet may stop short but never answers otherwise
+    capped = _meet(source, target, policy, depth_cap, node_cap)
+    if not capped.budget_exceeded:
+        assert not meet.budget_exceeded
+        assert (capped.reachable, capped.depth) == (meet.reachable, meet.depth)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.lists(configurations, min_size=1, max_size=4),
     st.sets(st.sampled_from(RULE_ORDER), min_size=1),
@@ -106,7 +144,7 @@ def test_policies_that_differ_in_conventions_alone_keep_their_own_moves(
         for policy in policies:
             moves = ref.applicable_moves(c, policy)
             assert applicable_moves(c, policy) == moves
-            images = [(m, Configuration(v, offset)) for m, v, offset in _successors(c, policy)]
+            images = [(m, Configuration(v, offset)) for m, v, offset in _successors(c.values, c.offset, policy)]
             assert images == [(m, ref.apply_move(c, m, policy)) for m in moves]
             for site in range(lo - 1, hi + 2):
                 for rule in RULE_ORDER:
