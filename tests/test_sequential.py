@@ -574,8 +574,9 @@ class TestNecessity:
         for width in range(1, 5):
             for values in itertools.product(range(5), repeat=width):
                 c = Configuration(values)
-                if values[0] and values[-1] and fp_step(c) != c:
-                    pairs.append((c, fp_step(c)))
+                t = fp_step(c)
+                if values[0] and values[-1] and t != c:
+                    pairs.append((c, t))
         assert len(pairs) == 492
         counts = Counter()
         unrealized = set()
