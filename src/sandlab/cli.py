@@ -188,12 +188,14 @@ def _digraph_dot(d) -> list[str]:
     lines = ["digraph transitions {", "  rankdir=TB;"]
     # a literal holds only digits, '-', ',' and '|', so it needs no escaping in a DOT id
     label = {node: to_literal(node) for node in d.nodes}
+    # a search interns one move per (rule, site), so few labels serve many edges
+    move_label = {move: str(move) for move in {move for _, move, _ in d.edges}}
     equilibria = set(d.equilibria)
     for node in d.nodes:
         extras = ' [peripheries=2]' if node in equilibria else ""
         lines.append(f'  "{label[node]}"{extras};')
     for a, move, b in d.edges:
-        lines.append(f'  "{label[a]}" -> "{label[b]}" [label="{move}"];')
+        lines.append(f'  "{label[a]}" -> "{label[b]}" [label="{move_label[move]}"];')
     lines.append("}")
     return lines
 
@@ -205,10 +207,11 @@ _EDGE_RECORD = '{\n  "from": %s,\n  "move": %s,\n  "to": %s\n}'
 def _digraph_fields(d):
     # every edge end, equilibrium and level key is a node: render each literal once
     literal = {n: to_literal(n) for n in d.nodes}
+    move = {m: _json_string(str(m)) for m in {m for _, m, _ in d.edges}}
     yield "root", literal[d.root]
     yield "nodes", list(literal.values())
     yield "edges", (
-        _EDGE_RECORD % (_json_string(literal[a]), _json_string(str(m)), _json_string(literal[b]))
+        _EDGE_RECORD % (_json_string(literal[a]), move[m], _json_string(literal[b]))
         for a, m, b in d.edges
     )
     yield "equilibria", [literal[n] for n in d.equilibria]

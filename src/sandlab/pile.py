@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class NegativeValue(ValueError):
@@ -45,31 +45,55 @@ class LatticeWindow:
             raise ValueError(f"empty window: lo={self.lo} > hi={self.hi}")
 
 
-@dataclass(frozen=True)
 class _LatticeState:
-    """Shared representation: value window plus offset, canonically trimmed."""
+    """Shared representation: value window plus offset, canonically trimmed.
 
-    values: tuple[int, ...] = ()
-    offset: int = 0
+    Slotted and immutable.  The constructor canonicalizes once and stores
+    ``hash((values, offset))``, so a dict or set lookup hashes no tuple.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("values", "offset", "_hash")
+    values: tuple[int, ...]
+    offset: int
+
+    def __init__(self, values: Iterable[int] = (), offset: int = 0):
         # operator.index accepts integers only: 2.7 raises instead of becoming 2
-        values = tuple(map(operator.index, self.values))
+        values = tuple(map(operator.index, values))
         self._validate(values)
-        offset = operator.index(self.offset)
-        lead = 0
-        while lead < len(values) and values[lead] == 0:
+        offset = operator.index(offset)
+        lead, trail = 0, len(values)
+        while lead < trail and values[lead] == 0:
             lead += 1
-        if lead == len(values):
-            values, offset = (), 0
-        else:
-            trail = len(values)
-            while values[trail - 1] == 0:
-                trail -= 1
-            values = values[lead:trail]
-            offset += lead
+        while lead < trail and values[trail - 1] == 0:
+            trail -= 1
+        values, offset = values[lead:trail], offset + lead if lead < trail else 0
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_hash", hash((values, offset)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.values, self.offset)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self._hash == other._hash and self.offset == other.offset and self.values == other.values
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values={self.values!r}, offset={self.offset!r})"
 
     @staticmethod
     def _validate(values: tuple[int, ...]) -> None:
@@ -115,18 +139,18 @@ class _LatticeState:
         return to_literal(self)
 
 
-@dataclass(frozen=True)
 class Configuration(_LatticeState):
     """Finite-support map from lattice cells to non-negative granule counts."""
 
+    __slots__ = ()
+
     @staticmethod
     def _validate(values: tuple[int, ...]) -> None:
-        for v in values:
-            if v < 0:
-                raise NegativeValue(f"granule count {v} is negative")
+        if values and min(values) < 0:
+            first = next(v for v in values if v < 0)
+            raise NegativeValue(f"granule count {first} is negative")
 
 
-@dataclass(frozen=True)
 class HeightProfile(_LatticeState):
     """Finite-support signed integer sequence.
 
@@ -134,6 +158,8 @@ class HeightProfile(_LatticeState):
     the carrier for any rule whose outputs may go negative.  Trimming drops
     only zero cells, so every negative cell of such an output stays visible.
     """
+
+    __slots__ = ()
 
     def negative_cells(self) -> tuple[tuple[int, int], ...]:
         """(cell, value) pairs where the profile is negative."""
@@ -229,17 +255,18 @@ def to_literal(state: _LatticeState, window: LatticeWindow | None = None) -> str
     The default window is the support extended to include cell 0 (so the
     origin marker always has an anchor).  The zero state renders as "0".
     """
+    values, offset = state.values, state.offset
     if window is None:
-        if state.is_zero:
+        if not values:
             return "0"
-        window = state.support
-    elif state.support is not None and (
-        state.support.lo < window.lo or state.support.hi > window.hi
-    ):
-        raise ValueError("window does not cover the support")
+        lo, hi = offset, offset + len(values) - 1
+    else:
+        lo, hi = window.lo, window.hi
+        if values and (offset < lo or offset + len(values) - 1 > hi):
+            raise ValueError("window does not cover the support")
     # cell 0 anchors the origin marker, so the rendered range always includes it
-    lo = min(window.lo, 0)
-    cells = [str(v) for v in state.window_values(lo, max(window.hi, 0))]
+    lo, hi = min(lo, 0), max(hi, 0)
+    cells = ["0"] * (offset - lo) + list(map(str, values)) + ["0"] * (hi + 1 - offset - len(values))
     if lo:
         return ",".join(cells[:-lo]) + "|" + ",".join(cells[-lo:])
     return ",".join(cells)

@@ -447,6 +447,13 @@ class DecompositionResult:
     path_count: int | None = None  # all the geodesics, when paths were asked for
 
 
+def _other_total(source: Configuration, target: Configuration) -> DecompositionResult | None:
+    """Exact "not reachable" when the totals differ, which every move keeps; else None."""
+    if source.total() == target.total():
+        return None
+    return DecompositionResult(False, (), 0, False, None)
+
+
 def decompose_parallel_transition(
     source: Configuration,
     target: Configuration,
@@ -460,10 +467,13 @@ def decompose_parallel_transition(
     Level-synchronous BFS; when the target appears, all geodesic paths (up to
     ``max_paths``) are reconstructed, and ``path_count`` says how many exist
     (None for ``max_paths=0``).  ``reachable=False`` is conclusive only
-    when ``budget_exceeded`` is False, i.e. the whole reachable space was
-    enumerated within the caps.
+    when ``budget_exceeded`` is False: the whole reachable space was
+    enumerated within the caps, or the totals differ and nothing was searched.
     """
     _check_max_paths(max_paths)
+    _check_caps(node_cap, depth_cap)
+    if (certified := _other_total(source, target)) is not None:
+        return certified
     d = _bfs(source, policy, node_cap, _depth_cap(source, depth_cap), target=target)
     if target in d.levels:
         paths, count = ((), None) if max_paths == 0 else _geodesics(d, target, max_paths)
@@ -502,8 +512,8 @@ def _meet(
     stops the search before its first level.  The result carries no paths.
     """
     _check_caps(node_cap, depth_cap)
-    if source.total() != target.total():
-        return DecompositionResult(False, (), 0, False, None)
+    if (certified := _other_total(source, target)) is not None:
+        return certified
     depth_cap = _depth_cap(source, depth_cap)
     start, goal = (source.values, source.offset), (target.values, target.offset)
     if start == goal:

@@ -463,6 +463,13 @@ class TestDecomposeCommand:
         assert code == 2
         assert "NOT REACHABLE" in out
 
+    def test_a_different_total_is_not_reachable_without_a_search(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "decompose", "--source", "10", "--target", "9", "--node-cap", "10000"
+        )
+        assert code == 2
+        assert out == "NOT REACHABLE (0 states exhausted)\n"
+
     def test_budget_exceeded_exit_code(self, capsys):
         code, out, _ = run_cli(
             capsys, "decompose", "--source", "2", "--target", "1|0,1"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -60,6 +62,66 @@ class TestNormalize:
     def test_idempotent(self, values, offset):
         once = Configuration(values, offset)
         assert Configuration(once.values, once.offset) == once
+
+
+class TestStateContract:
+    """States are slotted and immutable, and store the hash of (values, offset) at construction."""
+
+    @given(st.one_of(configurations, height_profiles))
+    def test_equal_states_hash_equal(self, state):
+        twin = type(state)((0, *state.values, 0), state.offset - 1)
+        assert twin == state and twin is not state
+        assert hash(twin) == hash(state) == hash((state.values, state.offset))
+
+    @given(st.lists(st.integers(0, 9), max_size=12), st.integers(-6, 6))
+    def test_configurations_and_height_profiles_never_compare_equal(self, values, offset):
+        c, h = Configuration(values, offset), HeightProfile(values, offset)
+        assert (c.values, c.offset, hash(c)) == (h.values, h.offset, hash(h))
+        assert c != h and h != c
+        assert len({c, h}) == 2
+
+    def test_keyword_construction(self):
+        assert Configuration(values=(0, 2, 1), offset=-1) == Configuration((2, 1))
+        assert HeightProfile(offset=3) == HeightProfile()
+        assert HeightProfile(values=[-1, 0]).values == (-1,)
+
+    @pytest.mark.parametrize("state_type", [Configuration, HeightProfile])
+    def test_floats_are_rejected_by_operator_index(self, state_type):
+        message = "'float' object cannot be interpreted as an integer"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            state_type((2, 1.0))
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            state_type((2, 1), 0.5)
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=12).filter(lambda v: min(v) < 0))
+    def test_a_negative_count_names_the_first_negative_value(self, values):
+        first = next(v for v in values if v < 0)
+        with pytest.raises(NegativeValue, match=f"^granule count {first} is negative$"):
+            Configuration(values)
+
+    @given(st.one_of(configurations, height_profiles))
+    def test_fields_cannot_be_assigned_or_deleted(self, state):
+        before = (state.values, state.offset, hash(state))
+        for name in ("values", "offset", "_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, ())
+            with pytest.raises(AttributeError):
+                delattr(state, name)
+        assert (state.values, state.offset, hash(state)) == before
+        assert not hasattr(state, "__dict__")
+
+    def test_repr_names_the_class_and_both_fields(self):
+        assert repr(Configuration((0, 3, 1), -1)) == "Configuration(values=(3, 1), offset=0)"
+        assert repr(HeightProfile((-6, 6), -1)) == "HeightProfile(values=(-6, 6), offset=-1)"
+        assert repr(Configuration()) == "Configuration(values=(), offset=0)"
+
+    @given(st.one_of(configurations, height_profiles))
+    def test_pickle_and_copy_round_trip(self, state):
+        clones = [pickle.loads(pickle.dumps(state, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in (*clones, copy.copy(state), copy.deepcopy(state)):
+            assert type(clone) is type(state)
+            assert clone == state and hash(clone) == hash(state)
 
 
 class TestLiterals:
@@ -277,6 +339,48 @@ class TestSliceReads:
         assert to_literal(state, window) == _literal_by_cells(state, window)
         if state.values:
             assert to_literal(state) == _literal_by_cells(state, state.support)
+
+
+def _literal_by_window_values(state, window):
+    """The literal from one ``window_values`` slice over the window extended to cell 0."""
+    if window is None:  # the zero state
+        return "0"
+    lo = min(window.lo, 0)
+    cells = [str(v) for v in state.window_values(lo, max(window.hi, 0))]
+    if lo:
+        return ",".join(cells[:-lo]) + "|" + ",".join(cells[-lo:])
+    return ",".join(cells)
+
+
+class TestRenderingWindow:
+    """``to_literal`` against a renderer built on ``window_values``."""
+
+    @given(
+        st.one_of(small_configurations, height_profiles),
+        st.sampled_from(["left", "across", "right"]),
+        st.integers(0, 6),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    def test_default_window_is_the_support(self, state, placement, k, left, right):
+        width = len(state.values)
+        # move the support left of cell 0, across it or right of it
+        first = {"left": -width - k, "across": -(k % max(width, 1)), "right": 1 + k}[placement]
+        state = state.shift(state.offset - first)
+        if state.values:
+            lo, hi = state.support.lo, state.support.hi
+            assert {"left": hi < 0, "across": lo <= 0 <= hi, "right": lo > 0}[placement]
+        expected = _literal_by_window_values(state, state.support)
+        assert to_literal(state) == to_literal(state, state.support) == expected
+        wide = LatticeWindow(state.offset - left, state.offset + max(width - 1, 0) + right)
+        assert to_literal(state, wide) == _literal_by_window_values(state, wide)
+
+    @pytest.mark.parametrize("zero", [Configuration(), HeightProfile()], ids=repr)
+    @pytest.mark.parametrize("lo, hi", [(-3, -1), (-1, 1), (0, 0), (2, 5)])
+    def test_the_zero_state(self, zero, lo, hi):
+        assert to_literal(zero) == to_literal(zero, zero.support) == "0"
+        window = LatticeWindow(lo, hi)
+        assert to_literal(zero, window) == _literal_by_window_values(zero, window)
 
 
 class TestLatticeWindow:

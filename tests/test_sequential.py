@@ -363,6 +363,13 @@ class TestDecompose:
             ("HRd@0", "BTs@0"),
         }
 
+    def test_totals_that_differ_are_unreachable_without_a_search(self):
+        # every move keeps the total; a search from 10 would stop only at a cap
+        result = decompose_parallel_transition(cfg("10"), cfg("9"), RulesetPolicy(), node_cap=1)
+        assert (result.reachable, result.budget_exceeded, result.explored_nodes) == (False, False, 0)
+        with pytest.raises(ValueError, match="node_cap"):
+            decompose_parallel_transition(cfg("10"), cfg("9"), RulesetPolicy(), node_cap=0)
+
     def test_three_granules_split_by_vertical_rules(self):
         result = decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH)
         assert result.reachable and result.depth == 2
