@@ -88,6 +88,7 @@ def _write_json(fields) -> None:
     item; so a document can stream, and its later fields can depend on what
     its earlier ones consumed.  Each item of an iterator is JSON text, laid
     out as ``json.dumps(item, indent=2)`` would lay out a top-level value.
+    Any other value is written a chunk at a time, never as one whole string.
     """
     write = sys.stdout.write
     lead = "{"
@@ -101,7 +102,8 @@ def _write_json(fields) -> None:
                 opened = True
             write("\n  ]" if opened else "[]")
         else:
-            write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            for chunk in json.JSONEncoder(indent=2).iterencode(value):
+                write(chunk.replace("\n", "\n  "))
     write("\n}\n")
 
 
@@ -209,7 +211,7 @@ def _digraph_fields(d):
     literal = {n: to_literal(n) for n in d.nodes}
     move = {m: _json_string(str(m)) for m in {m for _, m, _ in d.edges}}
     yield "root", literal[d.root]
-    yield "nodes", list(literal.values())
+    yield "nodes", map(_json_string, literal.values())
     yield "edges", (
         _EDGE_RECORD % (_json_string(literal[a]), move[m], _json_string(literal[b]))
         for a, m, b in d.edges

@@ -88,9 +88,8 @@ class _LatticeState:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self._hash == other._hash and self.offset == other.offset and self.values == other.values
-        )
+        same = self._hash == other._hash
+        return same and self.offset == other.offset and self.values == other.values
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(values={self.values!r}, offset={self.offset!r})"
@@ -147,8 +146,7 @@ class Configuration(_LatticeState):
     @staticmethod
     def _validate(values: tuple[int, ...]) -> None:
         if values and min(values) < 0:
-            first = next(v for v in values if v < 0)
-            raise NegativeValue(f"granule count {first} is negative")
+            raise NegativeValue(f"granule count {next(v for v in values if v < 0)} is negative")
 
 
 class HeightProfile(_LatticeState):

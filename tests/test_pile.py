@@ -117,9 +117,8 @@ class TestStateContract:
 
     @given(st.one_of(configurations, height_profiles))
     def test_pickle_and_copy_round_trip(self, state):
-        clones = [pickle.loads(pickle.dumps(state, protocol))
-                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for clone in (*clones, copy.copy(state), copy.deepcopy(state)):
+        pickled = [pickle.dumps(state, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in (*map(pickle.loads, pickled), copy.copy(state), copy.deepcopy(state)):
             assert type(clone) is type(state)
             assert clone == state and hash(clone) == hash(state)
 
@@ -375,7 +374,9 @@ class TestRenderingWindow:
         wide = LatticeWindow(state.offset - left, state.offset + max(width - 1, 0) + right)
         assert to_literal(state, wide) == _literal_by_window_values(state, wide)
 
-    @pytest.mark.parametrize("zero", [Configuration(), HeightProfile()], ids=repr)
+    @pytest.mark.parametrize(
+        "zero", [Configuration(), HeightProfile()], ids=["configuration", "height-profile"]
+    )
     @pytest.mark.parametrize("lo, hi", [(-3, -1), (-1, 1), (0, 0), (2, 5)])
     def test_the_zero_state(self, zero, lo, hi):
         assert to_literal(zero) == to_literal(zero, zero.support) == "0"
