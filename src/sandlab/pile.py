@@ -145,8 +145,9 @@ class Configuration(_LatticeState):
 
     @staticmethod
     def _validate(values: tuple[int, ...]) -> None:
-        if values and min(values) < 0:
-            raise NegativeValue(f"granule count {next(v for v in values if v < 0)} is negative")
+        for v in values:
+            if v < 0:
+                raise NegativeValue(f"granule count {v} is negative")
 
 
 class HeightProfile(_LatticeState):
@@ -254,14 +255,11 @@ def to_literal(state: _LatticeState, window: LatticeWindow | None = None) -> str
     origin marker always has an anchor).  The zero state renders as "0".
     """
     values, offset = state.values, state.offset
-    if window is None:
-        if not values:
-            return "0"
-        lo, hi = offset, offset + len(values) - 1
-    else:
-        lo, hi = window.lo, window.hi
-        if values and (offset < lo or offset + len(values) - 1 > hi):
-            raise ValueError("window does not cover the support")
+    if window is None and not values:
+        return "0"
+    lo, hi = (offset, offset + len(values) - 1) if window is None else (window.lo, window.hi)
+    if values and (offset < lo or offset + len(values) - 1 > hi):
+        raise ValueError("window does not cover the support")
     # cell 0 anchors the origin marker, so the rendered range always includes it
     lo, hi = min(lo, 0), max(hi, 0)
     cells = ["0"] * (offset - lo) + list(map(str, values)) + ["0"] * (hi + 1 - offset - len(values))
