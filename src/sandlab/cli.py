@@ -86,8 +86,8 @@ def _write_json(fields) -> None:
     The pairs are drawn one at a time, each after the previous value is
     written, and a value that is an iterator is written as an array item by
     item; so a document can stream, and its later fields can depend on what
-    its earlier ones consumed.  Each item of an iterator is JSON text, laid
-    out as ``json.dumps(item, indent=2)`` would lay out a top-level value.
+    its earlier ones consumed.  Each item of an iterator is JSON text at its
+    final indent, as ``json.dumps`` lays out an item of a top-level field.
     Any other value is written a chunk at a time, never as one whole string.
     """
     write = sys.stdout.write
@@ -98,7 +98,7 @@ def _write_json(fields) -> None:
         if isinstance(value, Iterator):
             opened = False
             for item in value:
-                write(("," if opened else "[") + "\n    " + item.replace("\n", "\n    "))
+                write(("," if opened else "[") + "\n    " + item)
                 opened = True
             write("\n  ]" if opened else "[]")
         else:
@@ -125,14 +125,17 @@ def _run_fields(rule: RuleSpec, states, last: dict):
     yield "step_cap_reached", not last["fixed"]
 
 
-# one step of the run document, as JSON text; cell values are the bulk of a trace
-_STEP_RECORD = '{\n  "t": %d,\n  "offset": %d,\n  "values": %s,\n  "total": %d\n}'
+# one step of the run document, as JSON text at its indent in the steps array
+_STEP_RECORD = (
+    '{\n      "t": %d,\n      "offset": %d,\n      "values": %s,\n      "total": %d\n    }'
+)
 
 
 def _step_records(states, last: dict):
     for t, (state, fixed) in enumerate(states):
-        values = "[\n    " + ",\n    ".join(map(int.__repr__, state.values)) + "\n  ]"
-        yield _STEP_RECORD % (t, state.offset, values if state.values else "[]", state.total())
+        n = len(state.values)  # cell values are the bulk of a trace: one template renders them
+        values = ("[\n        %d" + ",\n        %d" * (n - 1) + "\n      ]") if n else "[]"
+        yield _STEP_RECORD % (t, state.offset, values % state.values, state.total())
     last.update(t=t, fixed=fixed)
 
 
@@ -202,8 +205,8 @@ def _digraph_dot(d) -> list[str]:
     return lines
 
 
-# one edge of the digraph document, as JSON text
-_EDGE_RECORD = '{\n  "from": %s,\n  "move": %s,\n  "to": %s\n}'
+# one edge of the digraph document, as JSON text at its indent; literals need quotes, no escapes
+_EDGE_RECORD = '{\n      "from": "%s",\n      "move": %s,\n      "to": "%s"\n    }'
 
 
 def _digraph_fields(d):
@@ -213,7 +216,7 @@ def _digraph_fields(d):
     yield "root", literal[d.root]
     yield "nodes", map(_json_string, literal.values())
     yield "edges", (
-        _EDGE_RECORD % (_json_string(literal[a]), move[m], _json_string(literal[b]))
+        _EDGE_RECORD % (literal[a], move[m], literal[b])
         for a, m, b in d.edges
     )
     yield "equilibria", [literal[n] for n in d.equilibria]
@@ -288,6 +291,8 @@ def cmd_decompose(args) -> int:
                 print(f"({len(final.paths)} of {final.path_count} shortest paths shown)")
         elif final.budget_exceeded:
             print(f"INCONCLUSIVE: budget exceeded after {final.explored_nodes} states")
+        elif source.total() != target.total():
+            print(f"NOT REACHABLE (totals differ: {source.total()} vs {target.total()})")
         else:
             print(f"NOT REACHABLE ({final.explored_nodes} states exhausted)")
     if final.reachable:

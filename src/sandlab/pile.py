@@ -56,20 +56,26 @@ class _LatticeState:
     values: tuple[int, ...]
     offset: int
 
-    def __init__(self, values: Iterable[int] = (), offset: int = 0):
+    def __new__(cls, values: Iterable[int] = (), offset: int = 0):
         # operator.index accepts integers only: 2.7 raises instead of becoming 2
-        values = tuple(map(operator.index, values))
-        self._validate(values)
-        offset = operator.index(offset)
+        return cls._of_ints(map(operator.index, values), operator.index(offset))
+
+    @classmethod
+    def _of_ints(cls, values: Iterable[int], offset: int):
+        """A state of ints an engine already holds: checked, trimmed and hashed, not re-indexed."""
+        values = tuple(values)
+        cls._validate(values)
         lead, trail = 0, len(values)
         while lead < trail and values[lead] == 0:
             lead += 1
         while lead < trail and values[trail - 1] == 0:
             trail -= 1
         values, offset = values[lead:trail], offset + lead if lead < trail else 0
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "_hash", hash((values, offset)))
+        state = object.__new__(cls)
+        object.__setattr__(state, "values", values)
+        object.__setattr__(state, "offset", offset)
+        object.__setattr__(state, "_hash", hash((values, offset)))
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -127,7 +133,7 @@ class _LatticeState:
 
     def shift(self, a: int):
         """Left shift by ``a``: the result at x holds the old value at x+a."""
-        return type(self)(self.values, self.offset - a)
+        return self._of_ints(self.values, self.offset - operator.index(a))
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """(cell, value) pairs over the stored window."""
@@ -171,7 +177,7 @@ def height_profile(c: Configuration) -> HeightProfile:
     For a finite-support configuration the entries telescope to zero.
     """
     padded = (0, *c.values, 0)
-    return HeightProfile([a - b for a, b in zip(padded, padded[1:])], c.offset - 1)
+    return HeightProfile._of_ints([a - b for a, b in zip(padded, padded[1:])], c.offset - 1)
 
 
 def is_gk_stable(c: Configuration) -> bool:

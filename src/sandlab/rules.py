@@ -169,9 +169,7 @@ def gk_step(c: Configuration) -> Configuration:
     The total number of granules is invariant and no cell left of the support
     ever becomes occupied.
     """
-    if c.is_zero:
-        return c
-    return Configuration(*_stencil(c, _GK))
+    return c if c.is_zero else Configuration._of_ints(*_stencil(c, _GK))
 
 
 def fp_step(c: Configuration, rule: RuleSpec | None = None) -> Configuration:
@@ -187,9 +185,7 @@ def fp_step(c: Configuration, rule: RuleSpec | None = None) -> Configuration:
         rule = _FP
     elif rule.kind is not RuleKind.FP:
         raise ValueError(f"fp_step needs an fp rule, got {rule.kind.value!r}")
-    if c.is_zero:
-        return c
-    return Configuration(*_stencil(c, rule))
+    return c if c.is_zero else Configuration._of_ints(*_stencil(c, rule))
 
 
 def height_step(h: HeightProfile, rule: RuleSpec | None = None) -> HeightProfile:
@@ -204,7 +200,7 @@ def height_step(h: HeightProfile, rule: RuleSpec | None = None) -> HeightProfile
         raise ValueError(f"height_step needs a height rule, got {rule.kind.value!r}")
     if h.is_zero:
         return h
-    result = HeightProfile(*_stencil(h, rule))
+    result = HeightProfile._of_ints(*_stencil(h, rule))
     assert result.total() == h.total(), "height dynamics must preserve the sum"
     return result
 
@@ -223,7 +219,7 @@ def symmetric_step(c: Configuration) -> Configuration:
     for i, value in enumerate(out):
         if value < 0:
             raise NegativityWitness(c, lo + i, value)
-    return Configuration(out, lo)
+    return Configuration._of_ints(out, lo)
 
 
 def gen1g_step(state: _LatticeState, rule: RuleSpec) -> HeightProfile:
@@ -238,7 +234,7 @@ def gen1g_step(state: _LatticeState, rule: RuleSpec) -> HeightProfile:
     """
     if rule.kind not in _GENERALIZED_KINDS:
         raise ValueError(f"gen1g_step cannot run rule kind {rule.kind.value!r}")
-    return HeightProfile(*_stencil(state, rule))
+    return HeightProfile._of_ints(*_stencil(state, rule))
 
 
 def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:

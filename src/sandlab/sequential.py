@@ -57,6 +57,14 @@ ALL_RULES = VR_FAMILY | HR_FAMILY | BT_FAMILY
 class SequentialMove:
     rule: MoveRule
     site: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # stored, as digraph edges hash their moves many times over
+        # one int per (rule, site), the same in every process, so a pickled copy keeps it
+        object.__setattr__(self, "_hash", self.site * len(RULE_ORDER) + RULE_ORDER.index(self.rule))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.rule.value}@{self.site}"
@@ -235,7 +243,7 @@ def apply_move(
     if 0 < i < len(padded) - 1 and _guard(
         move.rule, *padded[i - 1 : i + 2], _NO_CONVENTIONS if policy is None else policy
     ):
-        return Configuration(*_splice(padded, lo, i, _STEP[move.rule]))
+        return Configuration._of_ints(*_splice(padded, lo, i, _STEP[move.rule]))
     raise InapplicableMove(f"{move} does not apply to {c}")
 
 
@@ -316,7 +324,7 @@ def _bfs(
             if len(nodes) >= node_cap:
                 truncated = True
                 continue
-            succ = Configuration(values, offset)
+            succ = Configuration._of_ints(values, offset)
             seen[succ.values if quotient_translations else (succ.values, offset)] = succ
             levels[succ] = level + 1
             nodes.append(succ)

@@ -468,7 +468,7 @@ class TestDecomposeCommand:
             capsys, "decompose", "--source", "10", "--target", "9", "--node-cap", "10000"
         )
         assert code == 2
-        assert out == "NOT REACHABLE (0 states exhausted)\n"
+        assert out == "NOT REACHABLE (totals differ: 10 vs 9)\n"
 
     def test_budget_exceeded_exit_code(self, capsys):
         code, out, _ = run_cli(
@@ -609,6 +609,25 @@ class TestVerifyCommand:
             assert code == 1
             assert f"error: --n-max must be positive, got {n_max}" in err
             assert not re.search(r"^(PASS|FAIL) ", out, re.MULTILINE)
+
+    def test_a_negative_kernel_cell_fails_fp_non_negativity(self, capsys, monkeypatch):
+        # the kernel's outputs skip the index pass, not the per-cell check that this line reads
+        real = rules._stencil
+
+        def stencil(state, rule):
+            out, lo = real(state, rule)
+            if rule.kind is rules.RuleKind.FP:
+                out[len(out) // 2] = -1
+            return out, lo
+
+        monkeypatch.setattr(rules, "_stencil", stencil)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "nn", "--n-max", "20")
+        assert code == 6
+        lines = out.splitlines()[1:]
+        assert [line for line in lines if line.startswith("FAIL ")] == [
+            "FAIL fp-non-negativity — 20 random rule/state pairs"
+        ]
+        assert len(lines) > 1 and all(line.startswith(("PASS ", "FAIL ")) for line in lines)
 
     def test_output_is_deterministic(self, capsys):
         first = run_cli(capsys, "verify", "--suite", "commutation", "--n-max", "50")

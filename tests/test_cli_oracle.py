@@ -6,14 +6,16 @@ final newline; exit codes must match the trace's or digraph's flags.
 """
 
 import io
+import json
 from contextlib import redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_cli as ref
 from sandlab.cli import main
 from sandlab.pile import Configuration, HeightProfile, parse_height_literal, parse_literal, to_literal
-from sandlab.rules import RuleKind, orbit
+from sandlab.rules import RuleKind, RuleSpec, orbit
 from sandlab.sequential import explore_digraph
 from test_sequential_oracle import configurations, node_caps, policies
 from test_stencil_oracle import FIXED_KINDS, rules
@@ -60,6 +62,30 @@ def test_run_json_matches_the_oracle(case):
     trace = orbit(parse(literal), rule, max_steps=max_steps)
     assert out == ref.trace_json(trace) + "\n"
     assert code == (3 if trace.step_cap_reached else 0)
+
+
+@pytest.mark.parametrize(
+    "kind, literal, max_steps, extremes",
+    [
+        (RuleKind.GK, "3000", 3, (1, 3000)),  # four-digit values
+        (RuleKind.HEIGHT_DIFF, "-12|12", None, (-12, 12)),  # negative values
+        (RuleKind.FP, "1", None, (1, 1)),  # one cell
+        (RuleKind.HEIGHT_DIFF, "-5", None, (-5, -5)),  # one negative cell
+        (RuleKind.GK, "0", None, None),  # the zero state
+        (RuleKind.HEIGHT_DIFF, "0", None, None),
+    ],
+)
+def test_pinned_runs_match_the_oracle_byte_for_byte(kind, literal, max_steps, extremes):
+    # the hypothesis draws above stay within one-digit values and six cells
+    argv = ["run", "--rule", kind.value, f"--init={literal}"]
+    argv += [] if max_steps is None else ["--max-steps", str(max_steps)]
+    code, out = run_main(argv)
+    parse = parse_height_literal if kind is RuleKind.HEIGHT_DIFF else parse_literal
+    trace = orbit(parse(literal), RuleSpec(kind), max_steps=max_steps)
+    assert out == ref.trace_json(trace) + "\n"
+    assert code == (3 if trace.step_cap_reached else 0)
+    written = [v for step in json.loads(out)["steps"] for v in step["values"]]
+    assert (min(written), max(written)) == extremes if written else extremes is None
 
 
 @settings(max_examples=200, deadline=None)

@@ -115,6 +115,23 @@ class TestStateContract:
         assert repr(HeightProfile((-6, 6), -1)) == "HeightProfile(values=(-6, 6), offset=-1)"
         assert repr(Configuration()) == "Configuration(values=(), offset=0)"
 
+    @given(
+        st.sampled_from([Configuration, HeightProfile]),
+        st.lists(st.integers(0, 9), max_size=12),
+        st.integers(-6, 6),
+    )
+    def test_the_int_trusting_constructor_canonicalizes_as_the_public_one(
+        self, state_type, values, offset
+    ):
+        state, public = state_type._of_ints(values, offset), state_type(values, offset)
+        assert type(state) is state_type and type(state.values) is tuple
+        assert state == public and hash(state) == hash(public)
+
+    def test_the_int_trusting_constructor_still_rejects_a_negative_count(self):
+        with pytest.raises(NegativeValue, match="^granule count -1 is negative$"):
+            Configuration._of_ints((1, -1), 0)
+        assert HeightProfile._of_ints((1, -1), 0).values == (1, -1)
+
     @given(st.one_of(configurations, height_profiles))
     def test_pickle_and_copy_round_trip(self, state):
         pickled = [pickle.dumps(state, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -243,6 +260,11 @@ class TestShift:
     def test_group_law(self, c, a, b):
         assert c.shift(b).shift(a) == c.shift(a + b)
         assert c.shift(a).shift(-a) == c
+
+    @pytest.mark.parametrize("state", [cfg("2,1"), HeightProfile((-1, 1)), Configuration()])
+    def test_a_shift_must_be_an_integer(self, state):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            state.shift(1.0)
 
 
 class TestTranslationEquivalence:

@@ -27,6 +27,7 @@ from sandlab.sequential import (
     sequential_spm_orbit,
 )
 from test_sequential_oracle import conventions
+from test_stencil_oracle import exact_ints
 
 # non-increasing states of total at most 10, the inputs of ``sequential_spm_orbit``
 ordered_partitions = st.builds(
@@ -159,6 +160,12 @@ class TestApplyMove:
         for move in applicable_moves(c, RulesetPolicy(hr_convention=False)):
             assert apply_move(c, move).total() == c.total()
 
+    @given(small_configurations)
+    def test_images_hold_exact_ints(self, c):
+        # images are built without the index pass, so no other int type may leak in
+        for move in applicable_moves(c, RulesetPolicy(hr_convention=False)):
+            assert exact_ints(apply_move(c, move))
+
 
 # each rule's twin in the mirror
 MIRROR_RULE = {
@@ -216,6 +223,12 @@ class TestExploreDigraph:
         assert d.equilibria == (cfg("4,3,2,2,1"),)
         assert len(d.edges) == 12
         assert not d.node_cap_reached
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    def test_nodes_hold_exact_ints(self, quotient):
+        d = explore_digraph(cfg("2|3,0,1"), FULL, node_cap=500, quotient_translations=quotient)
+        assert len(d.nodes) > 100
+        assert all(map(exact_ints, d.nodes))
 
     def test_edges_satisfy_their_moves(self):
         d = explore_digraph(cfg("5,4,2,1"), VR_ONLY_D)

@@ -73,8 +73,15 @@ def reference_gen1g(state, rule):
     return ref.gen1g_step(state, rule).trimmed()
 
 
+def exact_ints(state):
+    return all(type(v) is int for v in state.values) and type(state.offset) is int
+
+
 def assert_entry_points_match(state, rule):
-    assert outcome(step, state, rule) == outcome(ref.step, state, rule)
+    image = outcome(step, state, rule)
+    assert image == outcome(ref.step, state, rule)
+    # the kernels build their states without the index pass, so no other int type may leak in
+    assert isinstance(image, tuple) or exact_ints(image)
     assert outcome(gk_step, state) == outcome(ref.gk_step, state)
     assert outcome(symmetric_step, state) == outcome(ref.symmetric_step, state)
     assert outcome(fp_step, state, rule) == outcome(ref.fp_step, state, rule)
@@ -96,6 +103,14 @@ def test_step_and_every_entry_point_match_the_reference(state, rule):
 def test_zero_states_match_the_reference(state, rule):
     assert_entry_points_match(state, rule)
     assert step(state, rule).is_zero
+
+
+@pytest.mark.parametrize("rule", ALL_KINDS_RULES, ids=lambda r: r.kind.value)
+def test_every_kind_steps_to_exact_ints(rule):
+    parse = parse_height_literal if rule.kind is RuleKind.HEIGHT_DIFF else parse_literal
+    state = parse("3,9|12,0,7")
+    image = step(state, rule)
+    assert image.values and image != state and exact_ints(image)
 
 
 def test_sm1_witness_parity():
