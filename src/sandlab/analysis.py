@@ -209,23 +209,41 @@ class CheckResult:
     detail: str
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """CPython's draw under ``rng.randint(0, n - 1)``: ``n.bit_length()`` bits until below n.
+
+    The same int from the same stream, without ``randint``'s argument handling; an empty range
+    raises ValueError, as ``randint`` does.
+    """
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_configuration(
     rng: random.Random,
     max_support: int = 20,
     max_value: int = 9,
     offset_range: tuple[int, int] = (-8, 8),
 ) -> Configuration:
-    width = rng.randint(1, max_support)
-    vals = [rng.randint(0, max_value) for _ in range(width)]
-    return Configuration(vals, rng.randint(*offset_range))
+    """randint(1, max_support) cells of randint(0, max_value), from cell randint(*offset_range)."""
+    bits, n = rng.getrandbits, max_value + 1
+    lo, hi = offset_range
+    width = 1 + _randbelow(bits, max_support)
+    vals = [_randbelow(bits, n) for _ in range(width)]
+    return Configuration._of_ints(vals, lo + _randbelow(bits, hi - lo + 1))
 
 
 def random_fp_rule(rng: random.Random, max_offset: int = 6, max_payout: int = 4) -> RuleSpec:
-    size = rng.randint(1, 5)
-    offsets = rng.sample(
-        [y for y in range(-max_offset, max_offset + 1) if y != 0], size
-    )
-    payouts = [rng.randint(1, max_payout) for _ in offsets]
+    """randint(1, 5) distinct nonzero offsets up to max_offset, paying randint(1, max_payout)."""
+    bits = rng.getrandbits
+    size = 1 + _randbelow(bits, 5)
+    offsets = rng.sample([*range(-max_offset, 0), *range(1, max_offset + 1)], size)
+    payouts = [1 + _randbelow(bits, max_payout) for _ in offsets]
     return fp_rule(tuple(offsets), tuple(payouts))
 
 

@@ -80,15 +80,20 @@ def _parse_int_list(text: str | None, flag: str) -> tuple[int, ...] | None:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+class _Members(map):
+    """A ``map`` whose items are an object's members, ``"key": value`` JSON texts."""
+
+
 def _write_json(fields) -> None:
     """Write the object of ``fields``, (key, value) pairs, as ``print(json.dumps(obj, indent=2))``.
 
     The pairs are drawn one at a time, each after the previous value is
     written, and a value that is an iterator is written as an array item by
-    item; so a document can stream, and its later fields can depend on what
-    its earlier ones consumed.  Each item of an iterator is JSON text at its
-    final indent, as ``json.dumps`` lays out an item of a top-level field.
-    Any other value is written a chunk at a time, never as one whole string.
+    item, or as an object member by member when it is ``_Members``; so a
+    document can stream, and its later fields can depend on what its earlier
+    ones consumed.  Each item of an iterator is JSON text at its final
+    indent, as ``json.dumps`` lays out an item of a top-level field.  Any
+    other value is written a chunk at a time, never as one whole string.
     """
     write = sys.stdout.write
     lead = "{"
@@ -96,11 +101,12 @@ def _write_json(fields) -> None:
         write(f"{lead}\n  {_json_string(key)}: ")
         lead = ","
         if isinstance(value, Iterator):
+            brackets = "{}" if isinstance(value, _Members) else "[]"
             opened = False
             for item in value:
-                write(("," if opened else "[") + "\n    " + item)
+                write(("," if opened else brackets[0]) + "\n    " + item)
                 opened = True
-            write("\n  ]" if opened else "[]")
+            write("\n  " + brackets[1] if opened else brackets)
         else:
             for chunk in json.JSONEncoder(indent=2).iterencode(value):
                 write(chunk.replace("\n", "\n  "))
@@ -220,7 +226,8 @@ def _digraph_fields(d):
         for a, m, b in d.edges
     )
     yield "equilibria", [literal[n] for n in d.equilibria]
-    yield "levels", {literal[n]: level for n, level in d.levels.items()}
+    # a level key is a literal too, so it needs quotes and no escapes
+    yield "levels", _Members('"%s": %d'.__mod__, ((literal[n], t) for n, t in d.levels.items()))
     yield "node_cap_reached", d.node_cap_reached
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sandlab
-from sandlab import analysis, rules
+from sandlab import analysis, cli, rules
 from sandlab.cli import main
 from sandlab.pile import parse_literal
 
@@ -234,6 +234,21 @@ class TestDigraphJsonGolden:
         code, out, _ = run_cli(capsys, "digraph", *argv)
         assert code == exit_code
         assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize(
+        "members",
+        [{}, {"3": 0}, {"1|1,1": 0, "0,2|1": 1, "4,3,2,2,1": 12}],
+        ids=["empty", "one", "three"],
+    )
+    def test_streamed_members_write_the_bytes_of_json_dumps(self, capsys, members):
+        # digraph's levels field streams as _Members: one '"literal": level' text per member
+        cli._write_json(
+            [("levels", cli._Members('"%s": %d'.__mod__, members.items())), ("after", [1])]
+        )
+        expected = json.dumps({"levels": members, "after": [1]}, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
 
 
 class TestDigraphCommand:

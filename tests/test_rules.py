@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from dataclasses import replace
 from enum import Enum
 
@@ -490,6 +491,65 @@ class TestRuleSpec:
     def test_rejects_non_integers(self, bad):
         with pytest.raises(TypeError):
             bad()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda: fp_rule((), ()), "neighborhood must be nonempty"),
+            (lambda: fp_rule((0, 1)), "neighborhood must not contain 0"),
+            (lambda: fp_rule((1, 1)), "duplicate neighborhood offsets"),
+            (lambda: fp_rule((-1, 1), (1,)), "distribution must align with the neighborhood"),
+            (
+                lambda: RuleSpec(RuleKind.SYMMETRIC_SM1, (1, -1), (1, 2)),
+                "rule kind 'sm1' is fixed to neighborhood (-1, 1) with unit distribution",
+            ),
+            (
+                lambda: fp_rule((-1, 2), (1, 0)),
+                "rule kind 'fp' needs a strictly positive distribution",
+            ),
+            (
+                lambda: gen1g_prime_rule((-1, 1), (-2, 1)),
+                "rule kind 'gen1g-prime' needs a strictly positive distribution",
+            ),
+            (
+                lambda: RuleSpec(RuleKind.CONSTANT_G1, (-1, 1), (1, 2)),
+                "const-g1 uses the constant unit distribution",
+            ),
+        ],
+    )
+    def test_each_check_names_its_fault(self, bad, message):
+        with pytest.raises(ValueError) as caught:
+            bad()
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
+
+    def test_gen1g_defaults_to_identity_weights_in_offset_order(self):
+        rule = gen1g_rule((2, -3))
+        assert (rule.neighborhood, rule.distribution, rule._weights) == ((-3, 2), (-3, 2), (-3, 2))
+        assert (rule.theta, rule.radius) == (5, 3)
+        prime = gen1g_prime_rule((2, -3), (4, 1))
+        assert (prime.distribution, prime._weights, prime.theta) == ((1, 4), (-3, 8), 11)
+
+
+class TestRuleKind:
+    def test_equal_kinds_hash_equal(self):
+        for kind in RuleKind:
+            twins = (RuleKind(kind.value), RuleKind[kind.name], pickle.loads(pickle.dumps(kind)))
+            for twin in twins:
+                assert twin is kind and hash(twin) == hash(kind)
+            assert hash(kind) == object.__hash__(kind)  # by identity, with no Python-level hash
+        assert len({hash(kind) for kind in RuleKind}) == len(RuleKind)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_rule_keyed_dict_survives_pickle(self, protocol):
+        table = {rule: rule.kind.value for rule in (gk_rule(), fp_rule((2, -1), (5, 3)), sm1_rule())}
+        table[gen1g_rule((-3, 3))] = "gen1g"
+        copy = pickle.loads(pickle.dumps(table, protocol))
+        assert copy == table
+        for rule, name in table.items():
+            assert copy[rule] == name
+            assert copy[pickle.loads(pickle.dumps(rule, protocol))] == name
+            assert hash(pickle.loads(pickle.dumps(rule, protocol))) == hash(rule)
 
 
 class TestOrbit:
