@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .pile import Configuration, NegativeValue, height_profile
+from .pile import Configuration, NegativeValue, _Frozen, height_profile
 from .rules import (
     RuleKind,
     RuleSpec,
@@ -40,19 +39,17 @@ class BoundExceeded(ValueError):
     """A combinatorial enumeration guard was exceeded."""
 
 
-@dataclass(frozen=True)
-class TriangularDecomposition:
+class TriangularDecomposition(_Frozen):
     """n = k(k+1)/2 + k' with 0 <= k' <= k; unique for every n >= 0."""
 
-    n: int
-    k: int
-    k_prime: int
+    __slots__ = _fields = ("n", "k", "k_prime")
 
-    def __post_init__(self):
-        if self.n != self.k * (self.k + 1) // 2 + self.k_prime:
+    def __init__(self, n: int, k: int, k_prime: int):
+        if n != k * (k + 1) // 2 + k_prime:
             raise ValueError("decomposition does not reconstruct n")
-        if not 0 <= self.k_prime <= self.k:
+        if not 0 <= k_prime <= k:
             raise ValueError("k' must satisfy 0 <= k' <= k")
+        self._init(n, k, k_prime)
 
 
 def decompose_triangular(n: int) -> TriangularDecomposition:
@@ -100,8 +97,7 @@ def fp_equilibrium_shape(k: int) -> Configuration:
     return Configuration((1,) * h + (0,) + (1,) * h, -h)
 
 
-@dataclass(frozen=True)
-class NNViolation:
+class NNViolation(NamedTuple):
     """A configuration whose one-step image has a negative cell."""
 
     rule: RuleSpec
@@ -202,8 +198,7 @@ def _orbit_end(start: Configuration, rule: RuleSpec) -> tuple[Configuration, int
 # ---------------------------------------------------------------------------
 # verification suites (driven by the CLI, reused by the acceptance tests)
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -27,6 +27,7 @@ from .pile import (
     LatticeWindow,
     NegativeValue,
     ParseError,
+    _decimal,
     parse_height_literal,
     parse_literal,
     to_literal,
@@ -75,7 +76,7 @@ def _parse_int_list(text: str | None, flag: str) -> tuple[int, ...] | None:
         return None
     tokens = _list_tokens(text, flag)
     try:
-        return tuple(map(int, tokens))
+        return tuple(map(_decimal, tokens))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -337,8 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="iterate a parallel rule and emit the trace")
     run.add_argument("--rule", required=True, choices=sorted(_RULE_KINDS))
     run.add_argument("--init", required=True, help="configuration literal, e.g. '0,1|2,1,0'")
-    run.add_argument("--neighborhood", help="comma-separated offsets, e.g. '-1,1'")
-    run.add_argument("--distribution", help="comma-separated payouts aligned with offsets")
+    run.add_argument(
+        "--neighborhood",
+        help="comma-separated offsets; a value that starts with '-' needs the = form, "
+        "e.g. --neighborhood=-1,1",
+    )
+    run.add_argument(
+        "--distribution",
+        help="comma-separated payouts aligned with offsets; signed gen1g weights "
+        "need the = form, e.g. --distribution=-2,3",
+    )
     run.add_argument("--max-steps", type=int, default=None)
     run.add_argument("--format", choices=("json", "table"), default="json")
     run.set_defaults(func=cmd_run)

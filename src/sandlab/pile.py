@@ -13,7 +13,6 @@ states directly usable as dictionary keys when deduplicating search spaces.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -33,19 +32,59 @@ class MultipleOrigins(ParseError):
     """A configuration literal contained more than one '|' origin marker."""
 
 
-@dataclass(frozen=True)
-class LatticeWindow:
+class _Frozen:
+    """Slotted immutable record: a constructor sets each slot once, then assignment raises.
+
+    ``_fields`` names the constructor's arguments.  Two records of one class are
+    equal when those slots are; they are what ``hash`` covers, ``repr`` shows and
+    pickle passes back to the constructor.  Other slots hold what it derives.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def _init(self, *values) -> None:
+        """Set each of the class's own slots once, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+
+class LatticeWindow(_Frozen):
     """Inclusive cell range [lo, hi]."""
 
-    lo: int
-    hi: int
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty window: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty window: lo={lo} > hi={hi}")
+        self._init(lo, hi)
 
 
-class _LatticeState:
+class _LatticeState(_Frozen):
     """Shared representation: value window plus offset, canonically trimmed.
 
     Slotted and immutable.  The constructor canonicalizes once and stores
@@ -53,6 +92,7 @@ class _LatticeState:
     """
 
     __slots__ = ("values", "offset", "_hash")
+    _fields = ("values", "offset")
     values: tuple[int, ...]
     offset: int
 
@@ -77,15 +117,6 @@ class _LatticeState:
         object.__setattr__(state, "_hash", hash((values, offset)))
         return state
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.values, self.offset)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -96,9 +127,6 @@ class _LatticeState:
             return NotImplemented
         same = self._hash == other._hash
         return same and self.offset == other.offset and self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(values={self.values!r}, offset={self.offset!r})"
 
     @staticmethod
     def _validate(values: tuple[int, ...]) -> None:
@@ -246,12 +274,22 @@ def _parse_int(token: str, position: int, signed: bool) -> int:
     if not stripped:
         raise ParseError("empty value", position)
     try:
-        value = int(stripped)
+        value = _decimal(stripped)
     except ValueError:
         raise ParseError(f"expected an integer, got {token!r}", position) from None
     if not signed and value < 0:
         raise NegativeValue(f"negative entry {value} in configuration literal")
     return value
+
+
+def _decimal(text: str) -> int:
+    """``int(text)`` for an optional ASCII sign and ASCII digits; ValueError for anything else.
+
+    ``int`` alone also reads ``_`` separators and non-ASCII digits: ``1_0``, ``٣``.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def to_literal(state: _LatticeState, window: LatticeWindow | None = None) -> str:

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
-from .pile import Configuration, HeightProfile, _LatticeState
+from .pile import Configuration, HeightProfile, _Frozen, _LatticeState
 
 
 class RuleKind(Enum):
@@ -56,8 +56,7 @@ _GENERALIZED_KINDS = (_GEN_1G, _GEN_1G_PRIME, _CONSTANT_G1)
 _THRESHOLD_KINDS = (_FP, _HEIGHT_DIFF, _CONSTANT_G1)
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(_Frozen):
     """Parallel-rule descriptor: kind, neighborhood offsets, per-offset payout.
 
     ``distribution`` is aligned with ``neighborhood`` (both sorted by offset).
@@ -65,29 +64,23 @@ class RuleSpec:
     other parametric kinds it must be strictly positive (``const-g1``: all 1).
     """
 
-    kind: RuleKind
-    neighborhood: tuple[int, ...] = (-1, 1)
-    distribution: tuple[int, ...] | None = None
-    # derived once here, not on every step: _stencil reads all three
-    theta: int = field(init=False, repr=False, compare=False)
-    radius: int = field(init=False, repr=False, compare=False)
-    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "neighborhood", "distribution")
+    # derived once here, not on every step: _stencil reads theta, radius and _weights
+    __slots__ = (*_fields, "theta", "radius", "_weights")
 
-    def __post_init__(self):
-        kind = self.kind
+    def __init__(self, kind: RuleKind, neighborhood=(-1, 1), distribution=None):
         # operator.index accepts integers only: 1.7 raises instead of becoming 1
-        hood = tuple(map(operator.index, self.neighborhood))
+        hood = tuple(map(operator.index, neighborhood))
         if not hood:
             raise ValueError("neighborhood must be nonempty")
         if 0 in hood:
             raise ValueError("neighborhood must not contain 0")
         if len(set(hood)) != len(hood):
             raise ValueError("duplicate neighborhood offsets")
-        dist = self.distribution
-        if dist is None:
+        if distribution is None:
             dist = hood if kind is _GEN_1G else (1,) * len(hood)  # gen1g: identity weights
         else:
-            dist = tuple(map(operator.index, dist))
+            dist = tuple(map(operator.index, distribution))
             if len(dist) != len(hood):
                 raise ValueError("distribution must align with the neighborhood")
         hood, dist = zip(*sorted(zip(hood, dist)))
@@ -109,11 +102,7 @@ class RuleSpec:
         weights = dist if kind is _GEN_1G else tuple(map(operator.mul, dist, hood))
         # stability threshold: sum of D for the threshold kinds, sum of |w| for the others
         theta = sum(dist) if kind in _THRESHOLD_KINDS else sum(map(abs, weights))
-        object.__setattr__(self, "neighborhood", hood)
-        object.__setattr__(self, "distribution", dist)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "radius", max(-hood[0], hood[-1]))  # hood is sorted
-        object.__setattr__(self, "_weights", weights)
+        self._init(kind, hood, dist, theta, max(-hood[0], hood[-1]), weights)  # hood is sorted
 
 
 def gk_rule() -> RuleSpec:
@@ -288,8 +277,7 @@ def step(state: _LatticeState, rule: RuleSpec) -> _LatticeState:
     return _ENTRY_POINTS[rule.kind](state, rule)
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(NamedTuple):
     """Time-indexed record of an orbit up to a fixed point or the step cap."""
 
     rule: RuleSpec

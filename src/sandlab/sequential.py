@@ -18,10 +18,10 @@ configurations, so digraphs are deduplicated and deterministic.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
-from .pile import Configuration
+from .pile import Configuration, _Frozen
 
 
 class InapplicableMove(ValueError):
@@ -53,15 +53,14 @@ BT_FAMILY = frozenset({MoveRule.BT_D, MoveRule.BT_S})
 ALL_RULES = VR_FAMILY | HR_FAMILY | BT_FAMILY
 
 
-@dataclass(frozen=True, slots=True)
-class SequentialMove:
-    rule: MoveRule
-    site: int
-    _hash: int = field(init=False, repr=False, compare=False)
+class SequentialMove(_Frozen):
+    _fields = ("rule", "site")
+    __slots__ = (*_fields, "_hash")
 
-    def __post_init__(self):  # stored, as digraph edges hash their moves many times over
-        # one int per (rule, site), the same in every process, so a pickled copy keeps it
-        object.__setattr__(self, "_hash", self.site * len(RULE_ORDER) + RULE_ORDER.index(self.rule))
+    def __init__(self, rule: MoveRule, site: int):
+        # the hash is stored, as digraph edges hash their moves many times over: one int
+        # per (rule, site), the same in every process, so a pickled copy keeps it
+        self._init(rule, site, site * len(RULE_ORDER) + RULE_ORDER.index(rule))
 
     def __hash__(self) -> int:
         return self._hash
@@ -70,8 +69,7 @@ class SequentialMove:
         return f"{self.rule.value}@{self.site}"
 
 
-@dataclass(frozen=True)
-class RulesetPolicy:
+class RulesetPolicy(_Frozen):
     """Which moves may fire, and under which conventions.
 
     ``hr_convention`` freezes every horizontal move whose source column has
@@ -82,30 +80,31 @@ class RulesetPolicy:
     the floor is never below 1, so empty plateaus cannot fire.
     """
 
-    enabled: frozenset[MoveRule] = ALL_RULES
-    hr_convention: bool = True
-    hr_summary_strict: bool = False
-    bt_height_floor: int = 1
-    # the move table: (left, mid, right) -> the (rule, step) pairs that fire there
-    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the interned moves: (rule, site) -> its one SequentialMove, shared by every image
-    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("enabled", "hr_convention", "hr_summary_strict", "bt_height_floor")
+    # _moves, the move table: (left, mid, right) -> the (rule, step) pairs that fire there;
+    # _interned, the interned moves: (rule, site) -> its one SequentialMove, shared by every image
+    __slots__ = (*_fields, "_moves", "_interned")
 
-    def __post_init__(self):
-        enabled = frozenset(self.enabled)
+    def __init__(
+        self,
+        enabled: frozenset[MoveRule] = ALL_RULES,
+        hr_convention: bool = True,
+        hr_summary_strict: bool = False,
+        bt_height_floor: int = 1,
+    ):
+        enabled = frozenset(enabled)
         if not enabled:
             raise ValueError("policy must enable at least one rule")
         for rule in enabled:
             if not isinstance(rule, MoveRule):
                 raise TypeError(f"enabled rules must be MoveRule members, got {rule!r}")
         # operator.index accepts integers only: 1.5 raises instead of acting as 2
-        floor = operator.index(self.bt_height_floor)
+        floor = operator.index(bt_height_floor)
         if floor < 1:
             raise ValueError("bt_height_floor must be at least 1")
-        if self.hr_summary_strict and not self.hr_convention:
+        if hr_summary_strict and not hr_convention:
             raise ValueError("hr_summary_strict narrows hr_convention, which is off")
-        object.__setattr__(self, "enabled", enabled)
-        object.__setattr__(self, "bt_height_floor", floor)
+        self._init(enabled, hr_convention, hr_summary_strict, floor, {}, {})
 
 
 # each rule's step from the source cell to the destination cell
@@ -250,8 +249,7 @@ def apply_move(
 DEFAULT_NODE_CAP = 10**6
 
 
-@dataclass
-class TransitionDigraph:
+class TransitionDigraph(NamedTuple):
     """Deduplicated state graph of sequential rewrites from a root."""
 
     root: Configuration
@@ -443,8 +441,7 @@ def count_paths(d: TransitionDigraph, target: Configuration) -> int:
     return ways.get(target, 0)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     """Outcome of a bounded search for move sequences source -> target."""
 
     reachable: bool
@@ -583,8 +580,7 @@ NECESSITY_FAMILIES: tuple[tuple[str, frozenset[MoveRule]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class NecessityReport:
+class NecessityReport(NamedTuple):
     """Reachability of a target under the nested move families.
 
     A row with ``reachable`` and ``budget_exceeded`` both set belongs to a
@@ -620,18 +616,20 @@ def necessity_analysis(
     rows = []
     minimal = None
     for name, family in NECESSITY_FAMILIES:
-        result = _meet(source, target, replace(policy, enabled=family), depth_cap, node_cap)
+        family_policy = RulesetPolicy(
+            family, policy.hr_convention, policy.hr_summary_strict, policy.bt_height_floor
+        )
+        result = _meet(source, target, family_policy, depth_cap, node_cap)
         if minimal is None:
             if result.reachable:
                 minimal, depth_cap = name, result.depth
         elif not result.reachable:  # the node cap cut the search short of depth L
-            result = replace(result, reachable=True)
+            result = result._replace(reachable=True)
         rows.append((name, result))
     return NecessityReport(tuple(rows), minimal)
 
 
-@dataclass(frozen=True)
-class SpmOrbitSummary:
+class SpmOrbitSummary(NamedTuple):
     """Digraph of the rightward vertical rule from a non-increasing state."""
 
     digraph: TransitionDigraph

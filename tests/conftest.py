@@ -2,7 +2,24 @@
 
 from hypothesis import strategies as st
 
-from sandlab.pile import Configuration, HeightProfile, parse_height_literal, parse_literal
+from sandlab.analysis import decompose_triangular, nn_search, verify_partitions
+from sandlab.pile import (
+    Configuration,
+    HeightProfile,
+    LatticeWindow,
+    parse_height_literal,
+    parse_literal,
+)
+from sandlab.rules import fp_rule, gen1g_rule, orbit
+from sandlab.sequential import (
+    MoveRule,
+    RulesetPolicy,
+    SequentialMove,
+    decompose_parallel_transition,
+    explore_digraph,
+    necessity_analysis,
+    sequential_spm_orbit,
+)
 
 
 def cfg(text: str) -> Configuration:
@@ -66,3 +83,30 @@ height_profiles = st.builds(
     st.lists(st.integers(-6, 6), max_size=25),
     st.integers(-10, 10),
 )
+
+
+def _records() -> dict:
+    vr_d = RulesetPolicy(enabled=frozenset({MoveRule.VR_D}))
+    return {
+        "LatticeWindow": LatticeWindow(-1, 2),
+        "RuleSpec": fp_rule((2, -1), (5, 3)),
+        "OrbitTrace": orbit(cfg("2"), fp_rule()),
+        "SequentialMove": SequentialMove(MoveRule.HR_S, -2),
+        "RulesetPolicy": RulesetPolicy(
+            enabled=frozenset({MoveRule.BT_D}), hr_summary_strict=True, bt_height_floor=2
+        ),
+        "TransitionDigraph": explore_digraph(cfg("2"), vr_d),
+        "DecompositionResult": decompose_parallel_transition(cfg("2"), cfg("1,1"), vr_d),
+        "NecessityReport": necessity_analysis(cfg("2"), cfg("1,1")),
+        "SpmOrbitSummary": sequential_spm_orbit(cfg("2")),
+        "TriangularDecomposition": decompose_triangular(8),
+        "NNViolation": nn_search([gen1g_rule((-3, 3))], 3, 6)[0],
+        "CheckResult": verify_partitions(2)[0],
+    }
+
+
+# one instance of each rule, policy, move and result record type, by type name
+RECORDS = _records()
+
+# a transition digraph holds its levels dict, so it and a summary holding it have no hash
+UNHASHABLE_RECORDS = frozenset({"TransitionDigraph", "SpmOrbitSummary"})

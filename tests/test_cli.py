@@ -158,6 +158,39 @@ class TestRunCommand:
         assert err.startswith("error:")
         assert flags[-1].split("=")[0] in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--init", "1_0"], "expected an integer, got '1_0' (byte 0)"),
+            (["--init", "٣"], "expected an integer, got '٣' (byte 0)"),
+            (["--init", "4", "--neighborhood=1_0,２"], "got '1_0,２'"),
+            (["--init", "4", "--neighborhood=-1,1", "--distribution=1,١"], "got '1,١'"),
+        ],
+        ids=["underscore-init", "arabic-indic-init", "coerced-hood", "coerced-payout"],
+    )
+    def test_a_numeric_token_int_would_coerce_is_rejected(self, capsys, flags, message):
+        # int() reads 1_0 as 10 and ٣ as 3; each of these once ran from the coerced value
+        code, out, err = run_cli(capsys, "run", "--rule", "fp", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_signed_list_flags_take_the_form_their_help_shows(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "-h"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "e.g. --neighborhood=-1,1" in text and "e.g. --distribution=-2,3" in text
+        code, out, _ = run_cli(
+            capsys, "run", "--rule", "gen1g", "--init", "2", "--neighborhood=-1,1",
+            "--distribution=-2,3", "--max-steps", "1",
+        )
+        assert code in (0, 3)
+        assert json.loads(out)["rule"]["distribution"] == [-2, 3]
+        # the space-separated form is read as an option, which is why the help shows '='
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--rule", "fp", "--init", "2", "--neighborhood", "-1,1"])
+        assert exc.value.code == 1
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_unknown_rule_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--rule", "bogus", "--init", "6"])

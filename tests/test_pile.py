@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    RECORDS,
     boolean_configurations,
     cfg,
     configurations,
@@ -99,15 +100,17 @@ class TestStateContract:
         with pytest.raises(NegativeValue, match=f"^granule count {first} is negative$"):
             Configuration(values)
 
-    @given(st.one_of(configurations, height_profiles))
+    @given(st.one_of(configurations, height_profiles, st.sampled_from(list(RECORDS.values()))))
     def test_fields_cannot_be_assigned_or_deleted(self, state):
-        before = (state.values, state.offset, hash(state))
-        for name in ("values", "offset", "_hash", "extra"):
+        # a state, or a rule, policy, move or result record: its fields and derived slots
+        slots = [name for cls in type(state).__mro__ for name in getattr(cls, "__slots__", ())]
+        before = {name: getattr(state, name) for name in (*state._fields, *slots)}
+        for name in (*before, "extra"):
             with pytest.raises(AttributeError):
                 setattr(state, name, ())
             with pytest.raises(AttributeError):
                 delattr(state, name)
-        assert (state.values, state.offset, hash(state)) == before
+        assert all(getattr(state, name) is value for name, value in before.items())
         assert not hasattr(state, "__dict__")
 
     def test_repr_names_the_class_and_both_fields(self):
@@ -167,6 +170,23 @@ class TestLiterals:
             parse_literal("1|2|3")
         with pytest.raises(MultipleOrigins):
             parse_literal("1|2,3|4")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("1_0", 0), ("2,1_0", 2), ("٣", 0), ("1,٣|2", 2), ("1|２", 2), ("+-1", 0), ("0x1", 0)],
+    )
+    @pytest.mark.parametrize("parse", [parse_literal, parse_height_literal])
+    def test_only_ascii_digits_with_an_optional_sign_are_integers(self, parse, text, position):
+        # int() alone reads "1_0" as 10 and "٣" as 3
+        token = re.split("[,|]", text[position:])[0]
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"expected an integer, got {token!r} (byte {position})"
+        assert err.value.position == position
+
+    def test_a_sign_and_surrounding_whitespace_are_still_accepted(self):
+        assert parse_literal(" +3 , 1| 2 ") == Configuration((3, 1, 2), -2)
+        assert parse_height_literal("-2|+2\t") == HeightProfile((-2, 2), -1)
 
     def test_empty_and_garbage_tokens(self):
         with pytest.raises(ParseError):
