@@ -81,6 +81,25 @@ def _parse_int_list(text: str | None, flag: str) -> tuple[int, ...] | None:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value: an optional sign and ASCII digits, as ``_decimal`` reads them."""
+    try:
+        return _decimal(text.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _write_lines(lines: list[str]) -> None:
+    """Write each line and its newline, as ``print`` per line would, a joined chunk at a time."""
+    for i in range(0, len(lines), _CHUNK_LINES):
+        sys.stdout.write("\n".join(lines[i : i + _CHUNK_LINES]) + "\n")
+
+
+# lines per write: a few kB of DOT, or a few tens of kB of table rows, so that a chunk adds
+# little to a long output's peak memory while the writes stay few
+_CHUNK_LINES = 64
+
+
 class _Members(map):
     """A ``map`` whose items are an object's members, ``"key": value`` JSON texts."""
 
@@ -169,8 +188,7 @@ def cmd_run(args) -> int:
         initial = parse_literal(args.init)
     if args.format == "table":  # the rows share one window, so the whole orbit comes first
         trace = orbit(initial, rule, max_steps=args.max_steps)
-        for line in _trace_table(trace):
-            print(line)
+        _write_lines(_trace_table(trace))
         return 3 if trace.step_cap_reached else 0
     last = {}
     _write_json(_run_fields(rule, orbit_states(initial, rule, args.max_steps), last))
@@ -245,8 +263,7 @@ def cmd_digraph(args) -> int:
     if args.out == "json":
         _write_json(_digraph_fields(d))
     else:
-        for line in _digraph_dot(d):
-            print(line)
+        _write_lines(_digraph_dot(d))
     return 4 if d.node_cap_reached else 0
 
 
@@ -313,7 +330,10 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--n-max must be positive, got {args.n_max}")
     suite = VERIFY_SUITES[args.suite]
     env_seed = os.environ.get("SANDLAB_SEED")
-    seed = int(env_seed) if env_seed is not None else args.seed
+    try:
+        seed = args.seed if env_seed is None else _decimal(env_seed.strip())
+    except ValueError:
+        raise ValueError(f"SANDLAB_SEED must be an integer, got {env_seed!r}") from None
     kwargs = {}
     if args.suite in ("conservation", "nn", "commutation"):
         kwargs["seed"] = seed
@@ -348,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated payouts aligned with offsets; signed gen1g weights "
         "need the = form, e.g. --distribution=-2,3",
     )
-    run.add_argument("--max-steps", type=int, default=None)
+    run.add_argument("--max-steps", type=_int_flag, default=None)
     run.add_argument("--format", choices=("json", "table"), default="json")
     run.set_defaults(func=cmd_run)
 
@@ -356,17 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     policy_flags.add_argument("--rules", help="comma-separated move tokens, e.g. 'vr_d,vr_s'")
     policy_flags.add_argument("--no-hr-convention", action="store_true")
     policy_flags.add_argument("--hr-summary-strict", action="store_true")
-    policy_flags.add_argument("--bt-floor", type=int, choices=(1, 2), default=1)
+    policy_flags.add_argument("--bt-floor", type=_int_flag, choices=(1, 2), default=1)
 
     digraph = sub.add_parser(
         "digraph", parents=[policy_flags], help="explore a sequential transition digraph"
     )
     digraph.add_argument("--init", required=True)
     digraph.add_argument("--quotient-translations", action="store_true")
-    digraph.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP, help="default 10⁶")
+    digraph.add_argument(
+        "--node-cap", type=_int_flag, default=DEFAULT_NODE_CAP, help="default 10⁶"
+    )
     digraph.add_argument(
         "--depth-cap",
-        type=int,
+        type=_int_flag,
         help="BFS levels expanded (default: all); like --node-cap, "
         "exits 4 if it leaves a move unexplored",
     )
@@ -383,23 +405,23 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--necessity", action="store_true")
     decompose.add_argument(
         "--depth-cap",
-        type=int,
+        type=_int_flag,
         help="BFS levels, or forward plus backward levels under --necessity "
         "(default max(2n², 8), n the source total)",
     )
     decompose.add_argument(
         "--node-cap",
-        type=int,
+        type=_int_flag,
         default=DEFAULT_NODE_CAP,
         help="default 10⁶; under --necessity it counts the states stored from both ends",
     )
-    decompose.add_argument("--max-paths", type=int, default=None)
+    decompose.add_argument("--max-paths", type=_int_flag, default=None)
     decompose.set_defaults(func=cmd_decompose)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
-    verify.add_argument("--n-max", type=int, default=None)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--n-max", type=_int_flag, default=None)
+    verify.add_argument("--seed", type=_int_flag, default=0)
     verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -345,6 +345,34 @@ def _check_caps(node_cap: int, depth_cap: int | None) -> None:
         raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
 
 
+def _numbered(d: TransitionDigraph):
+    """``{node: i}`` over ``d.nodes``, and the edges as ``(i, move, j)``.
+
+    It hashes each node and each edge end once; the path engines run on the indices after it.
+    """
+    index = {node: i for i, node in enumerate(d.nodes)}
+    return index, [(index[a], move, index[b]) for a, move, b in d.edges]
+
+
+def _kahn(links: list[list]) -> list[int] | None:
+    """The nodes of ``links`` in a topological order, or None if they have a cycle.
+
+    ``links[i]`` lists node ``i``'s ``(label, next)`` pairs.  Kahn's
+    algorithm: a node is placed once all its in-links are.
+    """
+    indegree = [0] * len(links)
+    for out in links:
+        for _, b in out:
+            indegree[b] += 1
+    order = [i for i, degree in enumerate(indegree) if not degree]
+    for a in order:  # the list grows as in-degrees drop to zero
+        for _, b in links[a]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                order.append(b)
+    return order if len(order) == len(links) else None
+
+
 def enumerate_paths(
     d: TransitionDigraph, target: Configuration, max_paths: int | None = None
 ) -> list[tuple[SequentialMove, ...]]:
@@ -354,56 +382,80 @@ def enumerate_paths(
     the root.  An absent target, or ``max_paths=0``, yields no paths.
     """
     _check_max_paths(max_paths)
-    if target not in d.levels or max_paths == 0:
+    index, edges = _numbered(d)
+    goal = index.get(target)
+    if goal is None or max_paths == 0:
         return []
-    reverse: dict[Configuration, list[Configuration]] = {}
-    for a, _, b in d.edges:
-        reverse.setdefault(b, []).append(a)
+    reverse: list[list[int]] = [[] for _ in index]
+    for a, _, b in edges:
+        reverse[b].append(a)
     # walk only through nodes that can still reach the target
-    ancestors = {target}
-    frontier = [target]
+    ancestor = bytearray(len(index))
+    ancestor[goal] = 1
+    frontier = [goal]
     while frontier:
-        node = frontier.pop()
-        for prev in reverse.get(node, ()):
-            if prev not in ancestors:
-                ancestors.add(prev)
+        for prev in reverse[frontier.pop()]:
+            if not ancestor[prev]:
+                ancestor[prev] = 1
                 frontier.append(prev)
-    links: dict[Configuration, list[tuple[SequentialMove, Configuration]]] = {}
-    for a, move, b in d.edges:
-        if b in ancestors:
-            links.setdefault(a, []).append((move, b))
-    return _dfs_paths(d.root, target, links, max_paths)
+    links: list[list[tuple[SequentialMove, int]]] = [[] for _ in index]
+    for a, move, b in edges:
+        if ancestor[b]:
+            links[a].append((move, b))
+    return _walk_paths(index[d.root], goal, links, max_paths, _kahn(links) is not None)
 
 
-def _dfs_paths(start, goal, links: dict, max_paths: int | None) -> list[tuple[SequentialMove, ...]]:
+def _walk_paths(start: int, goal: int, links: list[list], max_paths: int | None, acyclic: bool):
     """Simple paths start -> goal as move tuples, in DFS preorder, at most ``max_paths``.
 
-    ``links`` maps a node to its ``(move, next)`` pairs in edge order.
+    ``links[i]`` lists node ``i``'s ``(move, next)`` pairs in edge order.  When
+    they are ``acyclic``, each run of nodes with a single link is folded into
+    one link that carries the run's moves, so the walk pushes a node only
+    where it branches; with a cycle every link stays one move, and ``on_path``
+    keeps each path simple.
     """
     if start == goal:
         return [()]
+    if acyclic:  # past the start, the walk stops only at a branch or at the goal
+        chains = [
+            [_fold(links, move, b) for move, b in out] if i == start or len(out) > 1 else ()
+            for i, out in enumerate(links)
+        ]
+    else:
+        chains = [[((move,), b) for move, b in out] for out in links]
     paths: list[tuple[SequentialMove, ...]] = []
-    # iterative DFS: a frame per node on the path with its link iterator
-    stack = [(start, iter(links.get(start, ())))]
-    on_path = {start}
+    on_path = bytearray(len(links))
+    on_path[start] = 1
     trail: list[SequentialMove] = []
+    # iterative DFS: a frame per pushed node, with the trail's length before it and its chains
+    stack = [(start, 0, iter(chains[start]))]
     while stack:
-        for move, succ in stack[-1][1]:
-            if succ in on_path:
+        for moves, succ in stack[-1][2]:
+            if on_path[succ]:
                 continue
             if succ == goal:  # a simple path ends at the goal
-                paths.append((*trail, move))
+                paths.append((*trail, *moves))
                 if len(paths) == max_paths:
                     return paths
                 continue
-            stack.append((succ, iter(links.get(succ, ()))))
-            on_path.add(succ)
-            trail.append(move)
+            stack.append((succ, len(trail), iter(chains[succ])))
+            on_path[succ] = 1
+            trail += moves
             break
         else:
-            on_path.discard(stack.pop()[0])
-            del trail[-1:]  # the start's frame has no move
+            node, mark, _ = stack.pop()
+            on_path[node] = 0
+            del trail[mark:]
     return paths
+
+
+def _fold(links: list[list], move: SequentialMove, b: int):
+    """``(moves, end)``: the link ``move`` to ``b``, run on through single-link nodes."""
+    moves = [move]
+    while len(links[b]) == 1:
+        move, b = links[b][0]
+        moves.append(move)
+    return tuple(moves), b
 
 
 def _check_max_paths(max_paths: int | None) -> None:
@@ -419,26 +471,20 @@ def count_paths(d: TransitionDigraph, target: Configuration) -> int:
     Counting simple paths through cycles is #P-hard, so a digraph with a
     cycle raises ``ValueError``.  An absent target has no paths.
     """
-    indegree = dict.fromkeys(d.nodes, 0)
-    successors: dict[Configuration, list[Configuration]] = {}
-    for a, _, b in d.edges:
-        successors.setdefault(a, []).append(b)
-        indegree[b] += 1
-    ways = dict.fromkeys(d.nodes, 0)
-    ways[d.root] = 1
-    ready = [node for node, degree in indegree.items() if degree == 0]
-    ordered = 0
-    while ready:  # Kahn's algorithm: a node is final once all its in-edges are counted
-        node = ready.pop()
-        ordered += 1
-        for succ in successors.get(node, ()):
-            ways[succ] += ways[node]
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if ordered < len(indegree):
+    index, edges = _numbered(d)
+    successors: list[list[tuple[SequentialMove, int]]] = [[] for _ in index]
+    for a, move, b in edges:
+        successors[a].append((move, b))
+    order = _kahn(successors)
+    if order is None:
         raise ValueError("the digraph has a cycle; paths are counted on acyclic digraphs only")
-    return ways.get(target, 0)
+    ways = [0] * len(index)
+    ways[index[d.root]] = 1
+    for a in order:  # a node's count is final once all its in-edges are counted
+        for _, b in successors[a]:
+            ways[b] += ways[a]
+    goal = index.get(target)
+    return 0 if goal is None else ways[goal]
 
 
 class DecompositionResult(NamedTuple):
@@ -559,18 +605,22 @@ def _geodesics(d: TransitionDigraph, target: Configuration, max_paths: int):
     """Up to ``max_paths`` shortest paths, depth first in parent order, and their full count.
 
     A node's parents are the sources of its edges from the level above, in
-    discovery order; the walk runs from the target up to the root.  The count
-    sums each node's parents' counts, over the nodes in BFS order.
+    discovery order; the walk runs from the target up to the root, and the
+    parent links, which always climb a level, are acyclic.  The count sums
+    each node's parents' counts, over the nodes in BFS order.
     """
-    parents: dict[Configuration, list[tuple[SequentialMove, Configuration]]] = {}
-    for a, move, b in d.edges:
-        if d.levels[b] == d.levels[a] + 1:
-            parents.setdefault(b, []).append((move, a))
-    ways = {d.root: 1}
-    for node in d.nodes[1:]:  # a node's parents come before it, on the level above
-        ways[node] = sum(ways[a] for _, a in parents[node])
-    paths = _dfs_paths(target, d.root, parents, max_paths)
-    return tuple(path[::-1] for path in paths), ways[target]
+    index, edges = _numbered(d)
+    level = [d.levels[node] for node in d.nodes]
+    parents: list[list[tuple[SequentialMove, int]]] = [[] for _ in index]
+    for a, move, b in edges:
+        if level[b] == level[a] + 1:
+            parents[b].append((move, a))
+    ways = [1]  # the root, d.nodes[0]
+    for links in parents[1:]:  # a node's parents come before it, on the level above
+        ways.append(sum(ways[a] for _, a in links))
+    goal = index[target]
+    paths = _walk_paths(goal, 0, parents, max_paths, acyclic=True)
+    return tuple(path[::-1] for path in paths), ways[goal]
 
 
 NECESSITY_FAMILIES: tuple[tuple[str, frozenset[MoveRule]], ...] = (

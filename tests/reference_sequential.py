@@ -3,8 +3,9 @@
 A differential oracle for the one-guard, one-BFS core of ``sandlab.sequential``:
 ``_guard_holds`` reads every cell through a ``value_at`` closure,
 ``explore_digraph`` runs a deque BFS and finds equilibria in a second pass,
-and ``decompose_parallel_transition`` runs its own level loop with a parents
-map.  ``budget_exceeded`` here is set whenever the depth cap leaves a
+``decompose_parallel_transition`` runs its own level loop with a parents
+map, and ``enumerate_paths`` walks a dict of ``Configuration``-keyed links,
+hashing a state at each step.  ``budget_exceeded`` here is set whenever the depth cap leaves a
 non-empty frontier, even one of equilibria only.  The module-level
 ``direction`` stands in for the ``MoveRule.direction`` property the guard read,
 and ``reference_rules.cells`` for the iteration over a ``LatticeWindow``.
@@ -159,7 +160,8 @@ def decompose_parallel_transition(
     Level-synchronous BFS; when the target appears, all geodesic paths (up to
     ``max_paths``) are reconstructed.  ``reachable=False`` is conclusive only
     when ``budget_exceeded`` is False, i.e. the whole reachable space was
-    enumerated within the caps.
+    enumerated within the caps.  ``path_count`` sums each state's parents' counts
+    in discovery order (None for ``max_paths=0``).
     """
     if depth_cap is None:
         n = source.total()
@@ -188,7 +190,11 @@ def decompose_parallel_transition(
         level += 1
     if target in depth:
         paths = _geodesics(parents, source, target, max_paths)
-        return DecompositionResult(True, tuple(paths), len(depth), False, depth[target])
+        ways = {}
+        for node, links in parents.items():  # a state's parents were discovered before it
+            ways[node] = sum(ways[prev] for prev, _ in links) if links else 1
+        count = None if max_paths == 0 else ways[target]
+        return DecompositionResult(True, tuple(paths), len(depth), False, depth[target], count)
     if frontier:
         budget = True  # stopped by the depth cap with unexplored states left
     return DecompositionResult(False, (), len(depth), budget, None)
@@ -211,4 +217,66 @@ def _geodesics(parents, source, target, max_paths):
             paths.append(tuple(path))
         else:  # pushed reversed, so the first parent is expanded first
             stack.extend((prev, (move, suffix)) for prev, move in reversed(parents[node]))
+    return paths
+
+
+def enumerate_paths(
+    d: TransitionDigraph, target: Configuration, max_paths: int | None = None
+) -> list[tuple[SequentialMove, ...]]:
+    """All distinct simple paths root -> target, or the first ``max_paths`` of them.
+
+    Paths are move sequences; the empty path is returned when the target is
+    the root.  An absent target, or ``max_paths=0``, yields no paths.
+    """
+    if max_paths is not None and max_paths < 0:
+        raise ValueError(f"max_paths must be non-negative, got {max_paths}")
+    if target not in d.levels or max_paths == 0:
+        return []
+    reverse: dict[Configuration, list[Configuration]] = {}
+    for a, _, b in d.edges:
+        reverse.setdefault(b, []).append(a)
+    # walk only through nodes that can still reach the target
+    ancestors = {target}
+    frontier = [target]
+    while frontier:
+        node = frontier.pop()
+        for prev in reverse.get(node, ()):
+            if prev not in ancestors:
+                ancestors.add(prev)
+                frontier.append(prev)
+    links: dict[Configuration, list[tuple[SequentialMove, Configuration]]] = {}
+    for a, move, b in d.edges:
+        if b in ancestors:
+            links.setdefault(a, []).append((move, b))
+    return _dfs_paths(d.root, target, links, max_paths)
+
+
+def _dfs_paths(start, goal, links: dict, max_paths: int | None) -> list[tuple[SequentialMove, ...]]:
+    """Simple paths start -> goal as move tuples, in DFS preorder, at most ``max_paths``.
+
+    ``links`` maps a node to its ``(move, next)`` pairs in edge order.
+    """
+    if start == goal:
+        return [()]
+    paths: list[tuple[SequentialMove, ...]] = []
+    # iterative DFS: a frame per node on the path with its link iterator
+    stack = [(start, iter(links.get(start, ())))]
+    on_path = {start}
+    trail: list[SequentialMove] = []
+    while stack:
+        for move, succ in stack[-1][1]:
+            if succ in on_path:
+                continue
+            if succ == goal:  # a simple path ends at the goal
+                paths.append((*trail, move))
+                if len(paths) == max_paths:
+                    return paths
+                continue
+            stack.append((succ, iter(links.get(succ, ()))))
+            on_path.add(succ)
+            trail.append(move)
+            break
+        else:
+            on_path.discard(stack.pop()[0])
+            del trail[-1:]  # the start's frame has no move
     return paths

@@ -641,6 +641,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "seed=42" in out
 
+    @pytest.mark.parametrize("value", ["1_0", "٣", "７", " "])
+    def test_an_env_seed_int_would_coerce_is_rejected(self, capsys, monkeypatch, value):
+        # int() read SANDLAB_SEED=1_0 as seed 10 and ran the suite from it
+        monkeypatch.setenv("SANDLAB_SEED", value)
+        code, out, err = run_cli(capsys, "verify", "--suite", "commutation", "--n-max", "5")
+        assert (code, out) == (1, "")
+        assert err == f"error: SANDLAB_SEED must be an integer, got {value!r}\n"
+
+    def test_an_env_seed_with_a_sign_and_spaces_is_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("SANDLAB_SEED", " -42 ")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "commutation", "--n-max", "5")
+        assert code == 0
+        assert out.startswith("suite=commutation seed=-42\n")
+
     def test_failing_suite_exits_six(self, capsys, monkeypatch):
         def broken(seed=0, cases=0):
             return [analysis.CheckResult("broken", False, "synthetic failure")]
@@ -683,6 +697,37 @@ class TestVerifyCommand:
         assert first == second
 
 
+# every integer flag, with the argv before it: each once read its value through int()
+INT_FLAGS = [
+    (("run", "--rule", "gk", "--init", "3"), "--max-steps"),
+    (("digraph", "--init", "3", "--rules", "vr_d"), "--node-cap"),
+    (("digraph", "--init", "3", "--rules", "vr_d"), "--depth-cap"),
+    (("digraph", "--init", "3", "--rules", "vr_d"), "--bt-floor"),
+    (("decompose", "--source", "3", "--target", "2,1"), "--node-cap"),
+    (("decompose", "--source", "3", "--target", "2,1"), "--depth-cap"),
+    (("decompose", "--source", "3", "--target", "2,1"), "--max-paths"),
+    (("verify", "--suite", "partitions"), "--n-max"),
+    (("verify", "--suite", "commutation", "--n-max", "5"), "--seed"),
+]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("argv, flag", INT_FLAGS, ids=[f"{a[0]}{f}" for a, f in INT_FLAGS])
+    @pytest.mark.parametrize("value", ["1_0", "٣", "１", "1.0", ""])
+    def test_a_value_int_would_coerce_is_rejected(self, capsys, argv, flag, value):
+        # `run ... --max-steps 1_0` ran with a cap of 10, `verify ... --n-max ٣` checked n <= 3
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("argv, flag", INT_FLAGS, ids=[f"{a[0]}{f}" for a, f in INT_FLAGS])
+    def test_a_signed_or_spaced_value_is_read_as_int_reads_it(self, capsys, argv, flag):
+        assert run_cli(capsys, *argv, flag, " +1 ") == run_cli(capsys, *argv, flag, "1")
+
+
 def child_env() -> dict[str, str]:
     """Environment for a child that imports the same sandlab as this process, installed or not."""
     paths = [str(Path(sandlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -714,4 +759,20 @@ class TestConsoleEntry:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert head == [b"{\n", b'  "rule": {\n', b'    "kind": "fp",\n']
+        assert err == b""
+
+    def test_a_dot_reader_closing_the_pipe_early_gives_no_traceback(self):
+        # as `sandlab digraph --init 40 --rules vr_d | head -2`: the DOT lines go out in chunks
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sandlab", "digraph", "--init", "40", "--rules", "vr_d"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert head == [b"digraph transitions {\n", b"  rankdir=TB;\n"]
         assert err == b""

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import cfg, count_paths, small_configurations
 from sandlab import sequential
-from sandlab.pile import Configuration
+from sandlab.pile import Configuration, _LatticeState
 from sandlab.rules import fp_step, gk_rule, orbit
 from sandlab.sequential import (
     BT_FAMILY,
@@ -319,6 +319,31 @@ class TestEnumeratePaths:
         sink = summary.equilibrium
         assert len(paths) == count_paths(d.edges, d.root, sink) == sequential.count_paths(d, sink)
         assert len(paths) == 2194
+
+    def test_the_walk_hashes_no_state_per_path(self, monkeypatch):
+        # numbering the nodes hashes each node and edge end once, and the walk runs on ints; a walk
+        # that hashed a state at each step of its prefix tree would make tens of thousands of calls
+        summary = sequential_spm_orbit(cfg("13"))
+        d = summary.digraph
+        calls = Counter()
+        real_hash, real_eq = _LatticeState.__hash__, _LatticeState.__eq__
+
+        def counted_hash(self):
+            calls["hash"] += 1
+            return real_hash(self)
+
+        def counted_eq(self, other):
+            calls["eq"] += 1
+            return real_eq(self, other)
+
+        monkeypatch.setattr(_LatticeState, "__hash__", counted_hash)
+        monkeypatch.setattr(_LatticeState, "__eq__", counted_eq)
+        paths = enumerate_paths(d, summary.equilibrium)
+        monkeypatch.undo()
+        assert len(paths) == 2194
+        bound = len(d.nodes) + 2 * len(d.edges) + 4
+        assert calls["hash"] <= bound
+        assert calls["eq"] <= bound
 
     def test_max_paths_truncation(self):
         d = explore_digraph(cfg("5,4,2,1"), VR_ONLY_D)

@@ -2,16 +2,21 @@
 
 Digraphs must agree in nodes, edges and their order, levels and their order,
 equilibria and flags; the single-move API in its move lists, images and
-``InapplicableMove`` raises; decompositions in everything but a
-``budget_exceeded`` that the reference sets on a fully explored space.
+``InapplicableMove`` raises; path lists in their paths and order, under every
+cut; decompositions in everything but a ``budget_exceeded`` that the
+reference sets on a fully explored space.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_sequential as ref
+from conftest import cfg
 from sandlab.pile import Configuration
 from sandlab.sequential import (
+    HR_FAMILY,
     RULE_ORDER,
+    VR_FAMILY,
     InapplicableMove,
     RulesetPolicy,
     SequentialMove,
@@ -20,7 +25,9 @@ from sandlab.sequential import (
     _successors,
     applicable_moves,
     apply_move,
+    count_paths,
     decompose_parallel_transition,
+    enumerate_paths,
     explore_digraph,
 )
 
@@ -91,16 +98,63 @@ def test_decompose_matches_the_reference(data, source, policy, node_cap, depth_c
         assert (ours.reachable, ours.budget_exceeded, ours.explored_nodes) == (False, False, 0)
         assert not theirs.reachable
         return
-    assert (ours.reachable, ours.paths, ours.explored_nodes, ours.depth) == (
+    assert (ours.reachable, ours.paths, ours.explored_nodes, ours.depth, ours.path_count) == (
         theirs.reachable,
         theirs.paths,
         theirs.explored_nodes,
         theirs.depth,
+        theirs.path_count,
     )
     if ours.budget_exceeded != theirs.budget_exceeded:
         # the reference flags a depth-capped frontier of equilibria only
         assert theirs.budget_exceeded
         assert not explore_digraph(source, policy, node_cap=node_cap).node_cap_reached
+
+
+def assert_paths_match_the_reference(d):
+    """Every node as target: each cut of the path list is the reference's, in its order."""
+    step = {(a, move): b for a, move, b in d.edges}
+    try:
+        counted = count_paths(d, d.root)
+    except ValueError:
+        counted = None  # a cycle: counting simple paths through it is #P-hard
+    for target in d.nodes:
+        paths = ref.enumerate_paths(d, target)
+        k = len(paths)
+        for max_paths in {None, 0, 1, 2, k - 1, k} - {-1}:
+            assert enumerate_paths(d, target, max_paths) == paths[:max_paths]
+        for path in paths:  # each path is simple: it visits no state twice
+            states = [d.root]
+            for move in path:
+                states.append(step[states[-1], move])
+            assert states[-1] == target
+            assert len(set(states)) == len(states)
+        if counted is not None:
+            assert count_paths(d, target) == k
+
+
+# roots of two to six granules, whose capped digraphs list every simple path to every node fast
+path_roots = st.builds(
+    Configuration,
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(lambda v: 2 <= sum(v) <= 6),
+    st.integers(-2, 2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_roots, policies, st.sampled_from((3, 8, 14, 20)), st.booleans())
+def test_enumerate_paths_matches_the_reference(root, policy, node_cap, quotient):
+    assert_paths_match_the_reference(explore_digraph(root, policy, node_cap, None, quotient))
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_enumerate_paths_matches_the_reference_through_cycles(quotient):
+    # HRd and HRs undo each other without the convention: 2,1 -> 1,2 -> 2,1
+    policy = RulesetPolicy(VR_FAMILY | HR_FAMILY, hr_convention=False)
+    d = explore_digraph(cfg("3"), policy, node_cap=20, quotient_translations=quotient)
+    with pytest.raises(ValueError, match="cycle"):
+        count_paths(d, d.root)
+    assert_paths_match_the_reference(d)
 
 
 @settings(max_examples=300, deadline=None)
