@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from typing import Iterable, NamedTuple
 
@@ -118,7 +119,8 @@ def nn_search(
     of one found this way.  An empty result certifies non-negativity within
     these bounds only.
     """
-    if window_radius < 1:
+    # operator.index accepts integers only: a radius of 3.5 raises instead of acting as 3
+    if operator.index(window_radius) < 1:
         raise ValueError("window_radius must be positive")
     if value_bound < 1:
         raise ValueError("value_bound must be positive")

@@ -19,7 +19,8 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .analysis import VERIFY_SUITES
@@ -32,7 +33,7 @@ from .pile import (
     parse_literal,
     to_literal,
 )
-from .rules import OrbitTrace, RuleKind, RuleSpec, orbit, orbit_states
+from .rules import RuleKind, RuleSpec, orbit_states
 from .sequential import (
     ALL_RULES,
     DEFAULT_NODE_CAP,
@@ -89,10 +90,11 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _write_lines(lines: list[str]) -> None:
+def _write_lines(lines: Iterable[str]) -> None:
     """Write each line and its newline, as ``print`` per line would, a joined chunk at a time."""
-    for i in range(0, len(lines), _CHUNK_LINES):
-        sys.stdout.write("\n".join(lines[i : i + _CHUNK_LINES]) + "\n")
+    lines = iter(lines)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 # lines per write: a few kB of DOT, or a few tens of kB of table rows, so that a chunk adds
@@ -165,19 +167,17 @@ def _step_records(states, last: dict):
     last.update(t=t, fixed=fixed)
 
 
-def _trace_table(trace: OrbitTrace) -> list[str]:
-    supports = [s.support for s in trace.states if s.support is not None]
-    lo = min([0] + [w.lo for w in supports])
-    hi = max([0] + [w.hi for w in supports])
+def _table_lines(rows: list):
+    """The ``run`` table: a row per ``(state, fixed)`` pair, then the trailer.
+
+    Every row spans one window: the states' supports and cell 0.
+    """
+    lo = min([0] + [state.offset for state, _ in rows if state.values])
+    hi = max([0] + [state.offset + len(state.values) - 1 for state, _ in rows if state.values])
     window = LatticeWindow(lo, hi)
-    lines = [
-        f"t={t}  {to_literal(state, window)}" for t, state in enumerate(trace.states)
-    ]
-    if trace.reached_equilibrium:
-        lines.append(f"equilibrium at t={trace.transient_time}")
-    else:
-        lines.append(f"step cap reached after {len(trace.states) - 1} steps")
-    return lines
+    for t, (state, fixed) in enumerate(rows):
+        yield f"t={t}  {to_literal(state, window)}"
+    yield f"equilibrium at t={t}" if fixed else f"step cap reached after {t} steps"
 
 
 def cmd_run(args) -> int:
@@ -186,12 +186,13 @@ def cmd_run(args) -> int:
         initial = parse_height_literal(args.init)
     else:
         initial = parse_literal(args.init)
+    rows = orbit_states(initial, rule, args.max_steps)
     if args.format == "table":  # the rows share one window, so the whole orbit comes first
-        trace = orbit(initial, rule, max_steps=args.max_steps)
-        _write_lines(_trace_table(trace))
-        return 3 if trace.step_cap_reached else 0
+        rows = list(rows)
+        _write_lines(_table_lines(rows))
+        return 0 if rows[-1][1] else 3
     last = {}
-    _write_json(_run_fields(rule, orbit_states(initial, rule, args.max_steps), last))
+    _write_json(_run_fields(rule, rows, last))
     return 0 if last["fixed"] else 3
 
 
@@ -214,8 +215,9 @@ def _policy_from_args(args) -> RulesetPolicy:
     )
 
 
-def _digraph_dot(d) -> list[str]:
-    lines = ["digraph transitions {", "  rankdir=TB;"]
+def _digraph_dot(d):
+    yield "digraph transitions {"
+    yield "  rankdir=TB;"
     # a literal holds only digits, '-', ',' and '|', so it needs no escaping in a DOT id
     label = {node: to_literal(node) for node in d.nodes}
     # a search interns one move per (rule, site), so few labels serve many edges
@@ -223,11 +225,10 @@ def _digraph_dot(d) -> list[str]:
     equilibria = set(d.equilibria)
     for node in d.nodes:
         extras = ' [peripheries=2]' if node in equilibria else ""
-        lines.append(f'  "{label[node]}"{extras};')
+        yield f'  "{label[node]}"{extras};'
     for a, move, b in d.edges:
-        lines.append(f'  "{label[a]}" -> "{label[b]}" [label="{move_label[move]}"];')
-    lines.append("}")
-    return lines
+        yield f'  "{label[a]}" -> "{label[b]}" [label="{move_label[move]}"];'
+    yield "}"
 
 
 # one edge of the digraph document, as JSON text at its indent; literals need quotes, no escapes

@@ -28,7 +28,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from enum import Enum
-from typing import NamedTuple
 
 from .pile import Configuration, HeightProfile, _Frozen, _LatticeState
 
@@ -277,46 +276,15 @@ def step(state: _LatticeState, rule: RuleSpec) -> _LatticeState:
     return _ENTRY_POINTS[rule.kind](state, rule)
 
 
-class OrbitTrace(NamedTuple):
-    """Time-indexed record of an orbit up to a fixed point or the step cap."""
-
-    rule: RuleSpec
-    states: tuple[_LatticeState, ...]
-    totals: tuple[int, ...]
-    reached_equilibrium: bool
-    transient_time: int | None
-    step_cap_reached: bool
-
-
 def default_step_cap(state: _LatticeState) -> int:
     size = sum(abs(v) for v in state.values)
     return 10 * size * size + 100
 
 
-def orbit(initial: _LatticeState, rule: RuleSpec, max_steps: int | None = None) -> OrbitTrace:
-    """Iterate a rule until the state repeats (fixed point) or the cap hits.
-
-    The trace records every state including the initial one;
-    ``transient_time`` is the index of the first occurrence of the final
-    (fixed-point) state, or None when the cap was reached first.
-    """
-    states = []
-    for state, fixed in orbit_states(initial, rule, max_steps):
-        states.append(state)
-    return OrbitTrace(
-        rule=rule,
-        states=tuple(states),
-        totals=tuple(s.total() for s in states),
-        reached_equilibrium=fixed,
-        transient_time=len(states) - 1 if fixed else None,
-        step_cap_reached=not fixed,
-    )
-
-
 def orbit_states(
     initial: _LatticeState, rule: RuleSpec, max_steps: int | None = None
 ) -> Iterator[tuple[_LatticeState, bool]]:
-    """The orbit of ``orbit`` one state at a time, each paired with whether it is fixed.
+    """Iterate a rule from ``initial`` until the state repeats (fixed point) or the cap hits.
 
     Yields ``(state, fixed)`` from the initial state on, and stops after the
     first fixed point or after the state at index ``max_steps``; a False flag

@@ -339,9 +339,10 @@ def _bfs(
 
 
 def _check_caps(node_cap: int, depth_cap: int | None) -> None:
-    if node_cap < 1:
+    # operator.index accepts integers only: a cap of 2.5 raises instead of acting as 3
+    if operator.index(node_cap) < 1:
         raise ValueError("node_cap must be positive")
-    if depth_cap is not None and depth_cap < 0:
+    if depth_cap is not None and operator.index(depth_cap) < 0:
         raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
 
 
@@ -379,7 +380,10 @@ def enumerate_paths(
     """All distinct simple paths root -> target, or the first ``max_paths`` of them.
 
     Paths are move sequences; the empty path is returned when the target is
-    the root.  An absent target, or ``max_paths=0``, yields no paths.
+    the root.  An absent target, or ``max_paths=0``, yields no paths.  On a
+    digraph with a cycle the walk enters a node only if the target can still be
+    reached from it off the path so far (Read & Tarjan 1975), so the time
+    between two paths is polynomial in the digraph's size.
     """
     _check_max_paths(max_paths)
     index, edges = _numbered(d)
@@ -402,51 +406,75 @@ def enumerate_paths(
     for a, move, b in edges:
         if ancestor[b]:
             links[a].append((move, b))
-    return _walk_paths(index[d.root], goal, links, max_paths, _kahn(links) is not None)
+    acyclic = _kahn(links) is not None
+    return _walk_paths(index[d.root], goal, links, max_paths, None if acyclic else reverse)
 
 
-def _walk_paths(start: int, goal: int, links: list[list], max_paths: int | None, acyclic: bool):
+def _walk_paths(start: int, goal: int, links: list[list], max_paths: int | None, reverse=None):
     """Simple paths start -> goal as move tuples, in DFS preorder, at most ``max_paths``.
 
-    ``links[i]`` lists node ``i``'s ``(move, next)`` pairs in edge order.  When
-    they are ``acyclic``, each run of nodes with a single link is folded into
-    one link that carries the run's moves, so the walk pushes a node only
-    where it branches; with a cycle every link stays one move, and ``on_path``
-    keeps each path simple.
+    ``links[i]`` lists node ``i``'s ``(move, next)`` pairs in edge order.
+    ``reverse`` is None when they are acyclic: then each run of nodes with a
+    single link is folded into one link that carries the run's moves, so the
+    walk pushes a node only where it branches.  With a cycle, ``reverse[i]``
+    lists the nodes with a link into ``i``, and ``_OffPath`` keeps each path
+    simple and drops the links into branches that hold no path.
     """
     if start == goal:
         return [()]
-    if acyclic:  # past the start, the walk stops only at a branch or at the goal
+    stack: list = []
+    if reverse is None:  # past the start, the walk stops only at a branch or at the goal
         chains = [
             [_fold(links, move, b) for move, b in out] if i == start or len(out) > 1 else ()
             for i, out in enumerate(links)
         ]
     else:
-        chains = [[((move,), b) for move, b in out] for out in links]
+        chains = _OffPath(links, reverse, goal, stack)
     paths: list[tuple[SequentialMove, ...]] = []
-    on_path = bytearray(len(links))
-    on_path[start] = 1
     trail: list[SequentialMove] = []
-    # iterative DFS: a frame per pushed node, with the trail's length before it and its chains
-    stack = [(start, 0, iter(chains[start]))]
+    # iterative DFS: a frame per pushed node, with the trail's length before it and its chains;
+    # no chain leads back onto the path, so the frames stay valid as the walk returns to them
+    stack.append((start, 0, iter(chains[start])))
     while stack:
         for moves, succ in stack[-1][2]:
-            if on_path[succ]:
-                continue
             if succ == goal:  # a simple path ends at the goal
                 paths.append((*trail, *moves))
                 if len(paths) == max_paths:
                     return paths
                 continue
             stack.append((succ, len(trail), iter(chains[succ])))
-            on_path[succ] = 1
             trail += moves
             break
         else:
-            node, mark, _ = stack.pop()
-            on_path[node] = 0
-            del trail[mark:]
+            del trail[stack.pop()[1] :]
     return paths
+
+
+class _OffPath:
+    """``self[i]``, read as node ``i`` joins the walk's path on ``stack``: ``i``'s one-move
+    chains into the nodes from which the goal can be reached without passing ``i`` or the path.
+
+    One backward sweep from the goal finds those nodes; every other link leads
+    back onto the path or into a branch that holds no path.
+    """
+
+    def __init__(self, links: list[list], reverse: list[list[int]], goal: int, stack: list):
+        self.links, self.reverse, self.goal, self.stack = links, reverse, goal, stack
+
+    def __getitem__(self, node: int) -> list[tuple[tuple[SequentialMove], int]]:
+        # the path's nodes start marked 1, so the sweep never enters them; reached nodes get 2
+        mark = bytearray(len(self.links))
+        for frame in self.stack:
+            mark[frame[0]] = 1
+        mark[node] = 1
+        mark[self.goal] = 2
+        frontier = [self.goal]
+        while frontier:
+            for prev in self.reverse[frontier.pop()]:
+                if not mark[prev]:
+                    mark[prev] = 2
+                    frontier.append(prev)
+        return [((move,), b) for move, b in self.links[node] if mark[b] == 2]
 
 
 def _fold(links: list[list], move: SequentialMove, b: int):
@@ -459,7 +487,8 @@ def _fold(links: list[list], move: SequentialMove, b: int):
 
 
 def _check_max_paths(max_paths: int | None) -> None:
-    if max_paths is not None and max_paths < 0:
+    # operator.index accepts integers only: 1.5 raises instead of listing every path
+    if max_paths is not None and operator.index(max_paths) < 0:
         raise ValueError(f"max_paths must be non-negative, got {max_paths}")
 
 
@@ -619,7 +648,7 @@ def _geodesics(d: TransitionDigraph, target: Configuration, max_paths: int):
     for links in parents[1:]:  # a node's parents come before it, on the level above
         ways.append(sum(ways[a] for _, a in links))
     goal = index[target]
-    paths = _walk_paths(goal, 0, parents, max_paths, acyclic=True)
+    paths = _walk_paths(goal, 0, parents, max_paths)
     return tuple(path[::-1] for path in paths), ways[goal]
 
 

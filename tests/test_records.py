@@ -23,12 +23,6 @@ SRC = Path(__file__).parent.parent / "src"
 REPRS = {
     "LatticeWindow": "LatticeWindow(lo=-1, hi=2)",
     "RuleSpec": "RuleSpec(kind=<RuleKind.FP: 'fp'>, neighborhood=(-1, 2), distribution=(3, 5))",
-    "OrbitTrace": (
-        "OrbitTrace(rule=RuleSpec(kind=<RuleKind.FP: 'fp'>, neighborhood=(-1, 1), "
-        "distribution=(1, 1)), states=(Configuration(values=(2,), offset=0), "
-        "Configuration(values=(1, 0, 1), offset=-1)), totals=(2, 2), "
-        "reached_equilibrium=True, transient_time=1, step_cap_reached=False)"
-    ),
     "SequentialMove": "SequentialMove(rule=<MoveRule.HR_S: 'HRs'>, site=-2)",
     "RulesetPolicy": (
         "RulesetPolicy(enabled=frozenset({<MoveRule.BT_D: 'BTd'>}), hr_convention=True, "

@@ -5,6 +5,7 @@ from enum import Enum
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_rules as ref
 from conftest import (
     RECORDS,
     UNHASHABLE_RECORDS,
@@ -37,7 +38,7 @@ from sandlab.rules import (
     gk_step,
     height_rule,
     height_step,
-    orbit,
+    orbit_states,
     sm1_rule,
     symmetric_step,
 )
@@ -81,8 +82,8 @@ HEIGHT_060_ROWS = [
 ]
 
 
-def rows_of(trace):
-    return [(s.values, s.offset) for s in trace.states]
+def rows_of(rows):
+    return [(s.values, s.offset) for s, _ in rows]
 
 
 def pairwise_flow_oracle(c):
@@ -117,10 +118,10 @@ def threshold_flow_oracle(c, rule):
 
 class TestGkStep:
     def test_815_orbit(self):
-        trace = orbit(cfg("8,1,5"), gk_rule())
-        assert rows_of(trace) == GK_815_ROWS
-        assert trace.transient_time == 6
-        assert set(trace.totals) == {14}
+        rows = ref.orbit(cfg("8,1,5"), gk_rule())
+        assert rows_of(rows) == GK_815_ROWS
+        assert ref.transient_time(rows) == 6
+        assert {s.total() for s, _ in rows} == {14}
 
     def test_multi_jump_row(self):
         assert gk_step(cfg("1,6,4,2,2,0")) == cfg("1,5,4,3,1,1")
@@ -136,9 +137,9 @@ class TestGkStep:
         assert gk_step(Configuration()) == Configuration()
 
     def test_origin_orbit(self):
-        trace = orbit(cfg("6"), gk_rule())
-        assert rows_of(trace) == [((6,), 0), ((5, 1), 0), ((4, 2), 0), ((3, 2, 1), 0)]
-        assert trace.transient_time == 3
+        rows = ref.orbit(cfg("6"), gk_rule())
+        assert rows_of(rows) == [((6,), 0), ((5, 1), 0), ((4, 2), 0), ((3, 2, 1), 0)]
+        assert ref.transient_time(rows) == 3
 
     @given(configurations)
     def test_conserves_total(self, c):
@@ -250,9 +251,9 @@ class TestFpStep:
         ],
     )
     def test_origin_orbits(self, k, rows, transient):
-        trace = orbit(cfg(str(k)), fp_rule())
-        assert rows_of(trace) == rows
-        assert trace.transient_time == transient
+        got = ref.orbit(cfg(str(k)), fp_rule())
+        assert rows_of(got) == rows
+        assert ref.transient_time(got) == transient
 
     @given(boolean_configurations)
     def test_boolean_states_are_fixed(self, c):
@@ -343,9 +344,9 @@ class TestFpTriplets:
 
 class TestHeightStep:
     def test_single_column_difference_table(self):
-        trace = orbit(hp("-6|6"), height_rule())
-        assert rows_of(trace) == HEIGHT_060_ROWS
-        assert trace.transient_time == 3
+        rows = ref.orbit(hp("-6|6"), height_rule())
+        assert rows_of(rows) == HEIGHT_060_ROWS
+        assert ref.transient_time(rows) == 3
 
     def test_zero(self):
         assert height_step(HeightProfile()) == HeightProfile()
@@ -385,9 +386,9 @@ class TestSymmetricStep:
         assert symmetric_step(c.shift(a)) == expected
 
     def test_orbit_via_the_dispatcher(self):
-        trace = orbit(cfg("2"), sm1_rule())
-        assert [s for s in trace.states] == [cfg("2"), cfg("1|0,1")]
-        assert trace.transient_time == 1
+        rows = ref.orbit(cfg("2"), sm1_rule())
+        assert [s for s, _ in rows] == [cfg("2"), cfg("1|0,1")]
+        assert ref.transient_time(rows) == 1
 
 
 class TestGeneralizedRules:
@@ -436,8 +437,8 @@ class TestGeneralizedRules:
             assert gen1g_step(c, rule).values == gk_step(c).values
 
     def test_gen1g_orbit_runs_on_signed_states(self):
-        trace = orbit(cfg("2"), gen1g_rule((-3, 3)), max_steps=5)
-        assert any(min(s.values) < 0 for s in trace.states if not s.is_zero)
+        rows = ref.orbit(cfg("2"), gen1g_rule((-3, 3)), max_steps=5)
+        assert any(min(s.values) < 0 for s, _ in rows if not s.is_zero)
 
 
 class TestRuleSpec:
@@ -563,25 +564,26 @@ class TestRuleKind:
 
 
 class TestOrbit:
+    """``orbit_states``'s own cap, flags and checks: the library's one orbit loop."""
+
     def test_step_cap_flag(self):
-        trace = orbit(cfg("6"), gk_rule(), max_steps=1)
-        assert trace.step_cap_reached
-        assert not trace.reached_equilibrium
-        assert trace.transient_time is None
-        assert len(trace.states) == 2
+        rows = list(orbit_states(cfg("6"), gk_rule(), max_steps=1))
+        assert not rows[-1][1]
+        assert ref.transient_time(rows) is None
+        assert len(rows) == 2
 
     def test_stable_start_is_immediate(self):
-        trace = orbit(cfg("3,2,1"), gk_rule())
-        assert trace.transient_time == 0
-        assert len(trace.states) == 1
+        rows = list(orbit_states(cfg("3,2,1"), gk_rule()))
+        assert rows == [(cfg("3,2,1"), True)]
+        assert ref.transient_time(rows) == 0
 
     def test_states_chain_by_the_rule(self):
-        trace = orbit(cfg("8,1,5"), gk_rule())
-        for a, b in zip(trace.states, trace.states[1:]):
+        states = [s for s, _ in orbit_states(cfg("8,1,5"), gk_rule())]
+        for a, b in zip(states, states[1:]):
             assert gk_step(a) == b
 
     def test_type_mismatches_rejected(self):
         with pytest.raises(TypeError):
-            orbit(hp("-6|6"), gk_rule())
+            orbit_states(hp("-6|6"), gk_rule())
         with pytest.raises(TypeError):
-            orbit(cfg("6"), height_rule())
+            orbit_states(cfg("6"), height_rule())

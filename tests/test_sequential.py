@@ -1,14 +1,17 @@
 import itertools
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_rules as ref
 from conftest import cfg, count_paths, small_configurations
 from sandlab import sequential
 from sandlab.pile import Configuration, _LatticeState
-from sandlab.rules import fp_step, gk_rule, orbit
+from sandlab.rules import fp_step, gk_rule
 from sandlab.sequential import (
     BT_FAMILY,
     HR_FAMILY,
@@ -26,6 +29,7 @@ from sandlab.sequential import (
     necessity_analysis,
     sequential_spm_orbit,
 )
+from test_cli import child_env
 from test_sequential_oracle import conventions
 from test_stencil_oracle import exact_ints
 
@@ -359,6 +363,23 @@ class TestEnumeratePaths:
         with pytest.raises(ValueError, match="max_paths"):
             enumerate_paths(d, cfg("1|1,1"), max_paths=-1)
 
+    def test_paths_on_a_cyclic_digraph_arrive_without_stalling(self):
+        # the walk once followed every dead-end prefix: max_paths=1 ran past 60 s for one target
+        script = (
+            "from sandlab import *\n"
+            "policy = RulesetPolicy(VR_FAMILY | HR_FAMILY, hr_convention=False)\n"
+            "d = explore_digraph(parse_literal('3'), policy, node_cap=200)\n"
+            "print(len(d.nodes), len(d.edges))\n"
+            "for k in (1, 2):\n"
+            "    print(sum(len(enumerate_paths(d, t, max_paths=k)) for t in d.nodes))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n") == ["200 810", "200", "365", ""]
+
 
 class TestCountPaths:
     @settings(max_examples=50, deadline=None)
@@ -526,6 +547,30 @@ class TestDecompose:
             with pytest.raises(ValueError, match="depth_cap"):
                 search(cap)
         search(0)  # the root alone
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: explore_digraph(cfg("8"), RulesetPolicy(), node_cap=2.5),
+            lambda: explore_digraph(cfg("8"), RulesetPolicy(), depth_cap=1.5),
+            lambda: decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH, node_cap=2.5),
+            lambda: decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH, depth_cap=1.5),
+            lambda: decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH, max_paths=2.5),
+            lambda: necessity_analysis(cfg("3"), cfg("1|1,1"), node_cap=2.5),
+            lambda: necessity_analysis(cfg("3"), cfg("1|1,1"), depth_cap=1.5),
+            lambda: enumerate_paths(
+                explore_digraph(cfg("5,4,2,1"), VR_ONLY_D), cfg("4,3,2,2,1"), max_paths=1.5
+            ),
+        ],
+        ids=[
+            "explore-node", "explore-depth", "decompose-node", "decompose-depth",
+            "decompose-paths", "necessity-node", "necessity-depth", "enumerate-paths",
+        ],
+    )
+    def test_a_bound_that_is_not_an_integer_raises(self, search):
+        # each once ran: node_cap=2.5 kept 3 nodes, max_paths=1.5 listed every path
+        with pytest.raises(TypeError):
+            search()
 
     @settings(deadline=None, max_examples=25)
     @given(small_configurations)
@@ -695,5 +740,5 @@ class TestSpmOrbit:
                 remaining -= part
             c = Configuration(tuple(sorted(parts, reverse=True)))
             summary = sequential_spm_orbit(c)
-            parallel = orbit(c, gk_rule())
-            assert summary.equilibrium == parallel.states[-1]
+            parallel = ref.orbit(c, gk_rule())
+            assert summary.equilibrium == parallel[-1][0]

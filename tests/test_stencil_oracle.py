@@ -18,11 +18,14 @@ from sandlab.rules import (
     const_g1_rule,
     fp_rule,
     fp_step,
+    gen1g_rule,
     gen1g_step,
+    gk_rule,
     gk_step,
     height_rule,
     height_step,
     orbit_states,
+    sm1_rule,
     step,
     symmetric_step,
 )
@@ -166,27 +169,34 @@ def test_threshold_kinds_on_hot_states_match_the_reference(case):
         assert _stencil(state, rule) == (list(image.values), image.offset)
 
 
-def reference_orbit(state, rule, max_steps):
-    states = [state]
-    while len(states) <= max_steps:
-        nxt = ref.step(states[-1], rule)
-        if nxt == states[-1]:
-            break
-        states.append(nxt)
-    return states
-
-
 @pytest.mark.parametrize(
-    "state, rule, max_steps",
+    "state, rule, max_steps, min_rows",
     [
-        (parse_literal("40"), fp_rule(), 10**4),
-        (parse_height_literal("-30|30"), height_rule(), 10**4),
-        (parse_literal("25,4|40,0,17"), fp_rule((-3, 1, 2), (2, 1, 3)), 10**4),
-        (parse_height_literal("3,-2|9,0,4"), const_g1_rule((-2, 1, 3)), 12),
+        (parse_literal("40"), fp_rule(), 10**4, 11),
+        (parse_height_literal("-30|30"), height_rule(), 10**4, 11),
+        (parse_literal("25,4|40,0,17"), fp_rule((-3, 1, 2), (2, 1, 3)), 10**4, 11),
+        (parse_height_literal("3,-2|9,0,4"), const_g1_rule((-2, 1, 3)), 12, 11),
+        # orbits that the unit and acceptance tests collect by the reference, default caps too
+        (parse_literal("8,1,5"), gk_rule(), None, 7),
+        (parse_literal("6"), gk_rule(), 1, 2),
+        (parse_literal("2"), sm1_rule(), None, 2),
+        (parse_literal("2"), gen1g_rule((-3, 3)), 5, 6),
     ],
-    ids=["fp-40", "height-30", "fp-3-1-2", "const-g1-capped"],
+    ids=[
+        "fp-40", "height-30", "fp-3-1-2", "const-g1-capped",
+        "gk-815", "gk-6-capped", "sm1-2", "gen1g-capped",
+    ],
 )
-def test_whole_orbits_match_the_reference_state_by_state(state, rule, max_steps):
-    ours = [s for s, _ in orbit_states(state, rule, max_steps)]
-    assert ours == reference_orbit(state, rule, max_steps)
-    assert len(ours) > 10
+def test_whole_orbits_match_the_reference_state_by_state(state, rule, max_steps, min_rows):
+    # rows match in their fixed flags and state types too: states of two types never compare equal
+    ours = list(orbit_states(state, rule, max_steps))
+    assert ours == ref.orbit(state, rule, max_steps)
+    assert len(ours) >= min_rows
+
+
+def test_origin_orbits_of_the_acceptance_gate_match_the_reference():
+    # its closed-form criteria read these orbits off the reference collector
+    for rule, sizes in ((gk_rule(), range(31)), (fp_rule(), range(61))):
+        for n in sizes:
+            state = Configuration((n,))
+            assert list(orbit_states(state, rule)) == ref.orbit(state, rule)
