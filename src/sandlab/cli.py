@@ -407,14 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument(
         "--depth-cap",
         type=_int_flag,
-        help="BFS levels, or forward plus backward levels under --necessity "
-        "(default max(2n², 8), n the source total)",
+        help="forward plus backward levels (default max(2n², 8), n the source total)",
     )
     decompose.add_argument(
         "--node-cap",
         type=_int_flag,
         default=DEFAULT_NODE_CAP,
-        help="default 10⁶; under --necessity it counts the states stored from both ends",
+        help="states stored from both ends (default 10⁶)",
     )
     decompose.add_argument("--max-paths", type=_int_flag, default=None)
     decompose.set_defaults(func=cmd_decompose)

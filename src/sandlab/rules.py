@@ -292,7 +292,8 @@ def orbit_states(
     The arguments are checked on the call, before any state is drawn.
     """
     state = _coerce_initial(initial, rule)
-    cap = default_step_cap(state) if max_steps is None else max_steps
+    # operator.index accepts integers only: 1.5 raises here, not at the first draw
+    cap = default_step_cap(state) if max_steps is None else operator.index(max_steps)
     if cap < 0:
         raise ValueError("max_steps must be non-negative")
     return _walk(state, rule, cap)

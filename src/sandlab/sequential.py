@@ -274,23 +274,7 @@ def explore_digraph(
     ``quotient_translations`` is set, translation-equivalent configurations
     are merged onto their first-seen representative; an edge then ends at the
     representative of the move's image, which may be a translate of it.
-    """
-    return _bfs(c0, policy, node_cap, depth_cap, quotient_translations)
-
-
-def _bfs(
-    c0: Configuration,
-    policy: RulesetPolicy,
-    node_cap: int,
-    depth_cap: int | None,
-    quotient_translations: bool = False,
-    target: Configuration | None = None,
-) -> TransitionDigraph:
-    """Breadth-first search that generates each node's successors once.
-
-    Nodes are expanded in discovery order, so a level at a time.  The search
-    stops after the level on which ``target`` appears; its digraph then lists
-    only the equilibria expanded so far.  A node at the depth cap is not
+    Each node's successors are generated once.  A node at the depth cap is not
     expanded, and sets ``node_cap_reached`` only if it has a move.
     """
     _check_caps(node_cap, depth_cap)
@@ -306,8 +290,6 @@ def _bfs(
     truncated = False
     for cur in nodes:  # the list grows as nodes are discovered: a FIFO queue
         level = levels[cur]
-        if target in levels and level >= levels[target]:
-            break
         successors = _successors(cur.values, cur.offset, policy)
         if not successors:
             equilibria.append(cur)
@@ -527,84 +509,52 @@ class DecompositionResult(NamedTuple):
     path_count: int | None = None  # all the geodesics, when paths were asked for
 
 
-def _other_total(source: Configuration, target: Configuration) -> DecompositionResult | None:
-    """Exact "not reachable" when the totals differ, which every move keeps; else None."""
-    if source.total() == target.total():
-        return None
-    return DecompositionResult(False, (), 0, False, None)
-
-
 def decompose_parallel_transition(
     source: Configuration,
     target: Configuration,
     policy: RulesetPolicy,
     depth_cap: int | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
-    max_paths: int = 64,
+    max_paths: int | None = 64,
 ) -> DecompositionResult:
-    """Shortest move sequences from source to target under a policy.
-
-    Level-synchronous BFS; when the target appears, all geodesic paths (up to
-    ``max_paths``) are reconstructed, and ``path_count`` says how many exist
-    (None for ``max_paths=0``).  ``reachable=False`` is conclusive only
-    when ``budget_exceeded`` is False: the whole reachable space was
-    enumerated within the caps, or the totals differ and nothing was searched.
-    """
-    _check_max_paths(max_paths)
-    _check_caps(node_cap, depth_cap)
-    if (certified := _other_total(source, target)) is not None:
-        return certified
-    d = _bfs(source, policy, node_cap, _depth_cap(source, depth_cap), target=target)
-    if target in d.levels:
-        paths, count = ((), None) if max_paths == 0 else _geodesics(d, target, max_paths)
-        return DecompositionResult(True, paths, len(d.nodes), False, d.levels[target], count)
-    return DecompositionResult(False, (), len(d.nodes), d.node_cap_reached, None)
-
-
-def _depth_cap(source: Configuration, depth_cap: int | None) -> int:
-    """The given depth cap, or the default ``max(2n², 8)`` for a source of total n."""
-    if depth_cap is not None:
-        return depth_cap
-    n = source.total()
-    return max(2 * n * n, 8)
-
-
-def _meet(
-    source: Configuration,
-    target: Configuration,
-    policy: RulesetPolicy,
-    depth_cap: int | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> DecompositionResult:
-    """Shortest length source -> target, searched from both ends until the two sides meet.
+    """Shortest move sequences source -> target, searched from both ends until the sides meet.
 
     Level-synchronous meet in the middle (Pohl 1971) over raw ``(values,
     offset)`` keys: each round expands the smaller frontier by one level,
     forward by ``_successors`` or backward by ``_predecessors``, and the
-    search ends at the first state it reaches on the other side.
+    search ends at the first state it reaches on the other side.  Up to
+    ``max_paths`` geodesics are then read off both sides by ``_geodesics``, in
+    lexicographic order of their moves by site then rule order (the order of
+    ``applicable_moves``), and ``path_count`` says how many exist; for
+    ``max_paths=0`` there are no paths and ``path_count`` is None.
 
-    The verdict is exact when the sides meet, when either frontier empties
-    (an exhausted closure), or when the totals differ (every move keeps the
-    total; nothing is stored).  Otherwise the node cap, which counts the
-    states stored on both sides, or the depth cap, which bounds the forward
-    plus backward levels, stopped the search with both frontiers non-empty:
-    ``budget_exceeded``.  Both ends are stored first, so a node cap of 1
-    stops the search before its first level.  The result carries no paths.
+    The verdict is exact when the sides meet, when a side's closure is
+    exhausted (its frontier empties, or no state on it has a move off it when
+    the depth cap stops the search), or when the totals differ (every move
+    keeps the total; nothing is stored).  Otherwise the node cap, which
+    counts the states stored on both sides, or the depth cap, which bounds
+    the forward plus backward levels, stopped the search: ``budget_exceeded``.
+    ``explored_nodes`` counts the states stored on both sides.  Both ends are
+    stored first, so a node cap of 1 stops the search before its first level.
     """
+    _check_max_paths(max_paths)
     _check_caps(node_cap, depth_cap)
-    if (certified := _other_total(source, target)) is not None:
-        return certified
-    depth_cap = _depth_cap(source, depth_cap)
+    if source.total() != target.total():
+        return DecompositionResult(False, (), 0, False, None)
+    if depth_cap is None:  # the default, max(2n², 8) for a source of total n
+        depth_cap = max(2 * source.total() ** 2, 8)
     start, goal = (source.values, source.offset), (target.values, target.offset)
-    if start == goal:
-        return DecompositionResult(True, (), 1, False, 0)
-    sides = ({start}, {goal})  # the states stored forward and backward
+    if start == goal:  # the empty path
+        paths, count = ((), None) if max_paths == 0 else (((),), 1)
+        return DecompositionResult(True, paths, 1, False, 0, count)
+    sides = ({start: 0}, {goal: 0})  # the states stored forward and backward, with their levels
     fronts = [[start], [goal]]  # the states of each side's last level
     depths = [0, 0]
     capped = node_cap < 2  # the node cap cut a level short; here, no room for both ends
     while all(fronts) and not capped and sum(depths) < depth_cap:
         side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
         seen, other = sides[side], sides[1 - side]
+        level = depths[side] + 1
         new = []
         for values, offset in fronts[side]:
             if side:
@@ -616,40 +566,74 @@ def _meet(
                     # after each complete level the sides are disjoint, so the shortest
                     # length exceeds both depths: this first meet gives it exactly
                     stored = len(seen) + len(other)
-                    return DecompositionResult(True, (), stored, False, sum(depths) + 1)
+                    paths, count = _geodesics(sides, fronts[0], depths, policy, max_paths)
+                    return DecompositionResult(True, paths, stored, False, sum(depths) + 1, count)
                 if key not in seen:
                     if len(seen) + len(other) >= node_cap:
                         capped = True
                     else:
-                        seen.add(key)
+                        seen[key] = level
                         new.append(key)
         fronts[side] = new
-        depths[side] += 1
-    stored = len(sides[0]) + len(sides[1])
-    # an empty frontier is an exhausted closure; the depth cap stops with both non-empty
-    return DecompositionResult(False, (), stored, capped or all(fronts), None)
+        depths[side] = level
+    # a side's closure is exhausted when its frontier empties, or when the depth cap
+    # stops the search at a frontier with no move off it
+    budget_exceeded = capped or (
+        any(_successors(values, offset, policy) for values, offset in fronts[0])
+        and any(_predecessors(values, offset, policy) for values, offset in fronts[1])
+    )
+    return DecompositionResult(False, (), len(sides[0]) + len(sides[1]), budget_exceeded, None)
 
 
-def _geodesics(d: TransitionDigraph, target: Configuration, max_paths: int):
-    """Up to ``max_paths`` shortest paths, depth first in parent order, and their full count.
+def _geodesics(sides, front, depths, policy: RulesetPolicy, max_paths: int | None):
+    """Up to ``max_paths`` geodesics at the first meet, in move order, and their full count.
 
-    A node's parents are the sources of its edges from the level above, in
-    discovery order; the walk runs from the target up to the root, and the
-    parent links, which always climb a level, are acyclic.  The count sums
-    each node's parents' counts, over the nodes in BFS order.
+    ``sides`` map the states stored forward and backward to their levels,
+    complete and disjoint up to ``depths = (a, b)``, and ``front`` is forward
+    level a; every geodesic has length ``a + b + 1``.  Its first a states are
+    the level-a states with a move into backward level b and, level by level
+    below them, their forward parents; past level a each move steps down one
+    backward level.  The DAG of those links is built breadth first from the
+    source, each node's links in ``_successors`` order, so the walk lists the
+    paths in lexicographic move order; every link climbs one level, so the
+    count sums each node's in-links in BFS order.  ``max_paths=0`` builds no DAG
+    and gives ``((), None)``.
     """
-    index, edges = _numbered(d)
-    level = [d.levels[node] for node in d.nodes]
-    parents: list[list[tuple[SequentialMove, int]]] = [[] for _ in index]
-    for a, move, b in edges:
-        if level[b] == level[a] + 1:
-            parents[b].append((move, a))
-    ways = [1]  # the root, d.nodes[0]
-    for links in parents[1:]:  # a node's parents come before it, on the level above
-        ways.append(sum(ways[a] for _, a in links))
-    goal = index[target]
-    paths = _walk_paths(goal, 0, parents, max_paths)
-    return tuple(path[::-1] for path in paths), ways[goal]
+    if max_paths == 0:
+        return (), None
+    fwd, rest = sides  # rest: the moves left to the target; the backward levels give them
+    a, b = depths
+    layer = [
+        key
+        for key in front
+        if any(rest.get((v, o)) == b for _, v, o in _successors(*key, policy))
+    ]
+    rest.update(dict.fromkeys(layer, b + 1))
+    for g in range(a - 1, -1, -1):
+        layer = {p for key in layer for p in _predecessors(*key, policy) if fwd.get(p) == g}
+        rest.update(dict.fromkeys(layer, a + b + 1 - g))
+    start, goal = next(iter(fwd)), next(iter(rest))  # each side's first key is its end
+    index = {start: 0}
+    keys = [start]
+    links: list[list[tuple[SequentialMove, int]]] = []
+    for key in keys:  # the list grows as the BFS discovers nodes
+        left = rest[key] - 1
+        out = []
+        for move, values, offset in _successors(*key, policy):
+            succ = (values, offset)
+            if rest.get(succ) == left:
+                i = index.get(succ)
+                if i is None:
+                    i = index[succ] = len(keys)
+                    keys.append(succ)
+                out.append((move, i))
+        links.append(out)
+    ways = [1] + [0] * (len(keys) - 1)
+    for i, out in enumerate(links):  # a node's in-links all come from nodes before it
+        for _, j in out:
+            ways[j] += ways[i]
+    end = index[goal]
+    return tuple(_walk_paths(0, end, links, max_paths)), ways[end]
 
 
 NECESSITY_FAMILIES: tuple[tuple[str, frozenset[MoveRule]], ...] = (
@@ -688,9 +672,10 @@ def necessity_analysis(
     """Which nested move family first reaches the target, if any.
 
     Each family runs under ``policy``'s conventions with its own moves, searched
-    from both ends by ``_meet``; the rows carry no paths.  Once a family
-    reaches the target at depth L, the larger ones search to depth L only:
-    a move's guard does not depend on the other enabled moves, so they hold its path.
+    by ``decompose_parallel_transition`` with ``max_paths=0``, so the rows carry
+    no paths.  Once a family reaches the target at depth L, the larger ones
+    search to depth L only: a move's guard does not depend on the other enabled
+    moves, so they hold its path.
     """
     rows = []
     minimal = None
@@ -698,7 +683,9 @@ def necessity_analysis(
         family_policy = RulesetPolicy(
             family, policy.hr_convention, policy.hr_summary_strict, policy.bt_height_floor
         )
-        result = _meet(source, target, family_policy, depth_cap, node_cap)
+        result = decompose_parallel_transition(
+            source, target, family_policy, depth_cap, node_cap, max_paths=0
+        )
         if minimal is None:
             if result.reachable:
                 minimal, depth_cap = name, result.depth

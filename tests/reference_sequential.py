@@ -201,13 +201,13 @@ def decompose_parallel_transition(
 
 
 def _geodesics(parents, source, target, max_paths):
-    """Up to ``max_paths`` shortest paths, depth first in parent order, without recursion.
+    """Up to ``max_paths`` shortest paths (all for None), depth first in parent order, no recursion.
 
     A stack entry holds a node and its path to the target as nested (move, rest) pairs.
     """
     paths: list[tuple[SequentialMove, ...]] = []
     stack = [(target, None)]
-    while stack and len(paths) < max_paths:
+    while stack and (max_paths is None or len(paths) < max_paths):
         node, suffix = stack.pop()
         if node == source:
             path = []

@@ -274,6 +274,14 @@ class TestDigraphJsonGolden:
         assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_decompose_output_is_pinned(capsys):
+    # the first four of 3,700,146 geodesics, in move order, from 3,404 states stored
+    argv = ["--source", "10", "--target", "2,2,2,2,2", "--max-paths", "4"]
+    code, out, _ = run_cli(capsys, "decompose", *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / "decompose-10-22222.txt").read_bytes()
+
+
 class TestWriteJson:
     @pytest.mark.parametrize(
         "members",
@@ -523,9 +531,17 @@ class TestDecomposeCommand:
         assert code == 2
         assert out == "NOT REACHABLE (totals differ: 10 vs 9)\n"
 
-    def test_budget_exceeded_exit_code(self, capsys):
+    def test_an_exhausted_backward_closure_is_not_reachable(self, capsys):
+        # the forward space is unbounded under bottom-up jumps; 1|0,1 has no predecessor
         code, out, _ = run_cli(
             capsys, "decompose", "--source", "2", "--target", "1|0,1"
+        )
+        assert code == 2
+        assert out == "NOT REACHABLE (4 states exhausted)\n"
+
+    def test_budget_exceeded_exit_code(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "decompose", "--source", "3", "--target", "1|1,1", "--depth-cap", "1"
         )
         assert code == 5
         assert "INCONCLUSIVE" in out
@@ -538,7 +554,7 @@ class TestDecomposeCommand:
             "--rules", "vr_d", "--depth-cap", "1",
         )
         assert code == 2
-        assert out == "NOT REACHABLE (2 states exhausted)\n"
+        assert out == "NOT REACHABLE (3 states exhausted)\n"
 
     def test_negative_max_paths_is_rejected(self, capsys):
         code, out, err = run_cli(
@@ -571,7 +587,8 @@ class TestDecomposeCommand:
 
     @pytest.mark.parametrize("necessity", [(), ("--necessity",)], ids=["plain", "necessity"])
     def test_a_tight_node_cap_is_inconclusive(self, capsys, necessity):
-        # 3 -> 2,1 is one VRd move; a cap of one state stops the search at the root
+        # 3 -> 2,1 is one VRd move; both ends are stored first, so a cap of one state
+        # stops the search before its first level
         args = ["decompose", "--source", "3", "--target", "2,1", *necessity]
         assert run_cli(capsys, *args)[0] == 0
         code, out, _ = run_cli(capsys, *args, "--node-cap", "1")
@@ -579,7 +596,7 @@ class TestDecomposeCommand:
         if necessity:
             assert "VR: unreachable (budget exceeded, inconclusive)" in out
         else:
-            assert out == "INCONCLUSIVE: budget exceeded after 1 states\n"
+            assert out == "INCONCLUSIVE: budget exceeded after 2 states\n"
 
     @pytest.mark.parametrize("necessity", [(), ("--necessity",)], ids=["plain", "necessity"])
     def test_a_node_cap_below_one_is_rejected(self, capsys, necessity):

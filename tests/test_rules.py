@@ -587,3 +587,8 @@ class TestOrbit:
             orbit_states(hp("-6|6"), gk_rule())
         with pytest.raises(TypeError):
             orbit_states(cfg("6"), height_rule())
+
+    def test_a_cap_that_is_not_an_integer_raises_on_the_call(self):
+        # it once passed the call and raised from range() at the first draw
+        with pytest.raises(TypeError):
+            orbit_states(cfg("6"), gk_rule(), 1.5)

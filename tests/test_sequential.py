@@ -451,18 +451,19 @@ class TestDecompose:
         assert result.reachable
         assert result.paths == ((),)
 
-    def test_budget_exhaustion_is_flagged(self):
-        # bottom-up drift makes the space unbounded; the gap is never filled
+    def test_an_exhausted_backward_closure_is_conclusive(self):
+        # bottom-up drift makes the forward space unbounded, but 1|0,1 has no predecessor
         result = decompose_parallel_transition(cfg("2"), cfg("1|0,1"), FULL)
         assert not result.reachable
-        assert result.budget_exceeded
+        assert not result.budget_exceeded
+        assert result.explored_nodes == 4
 
     def test_depth_cap_on_equilibria_is_conclusive(self):
         # 2 -> 1,1 is the one move, and 1,1 at the cap is an equilibrium, not a frontier
         result = decompose_parallel_transition(cfg("2"), cfg("0,2"), VR_ONLY_D, depth_cap=1)
         assert not result.reachable
         assert not result.budget_exceeded
-        assert result.explored_nodes == 2
+        assert result.explored_nodes == 3  # 2 and 1,1 forward, 0,2 backward
 
     def test_long_geodesic_is_not_bounded_by_the_recursion_limit(self):
         # one granule slid 1500 cells: one shortest path of 1500 moves
@@ -473,8 +474,8 @@ class TestDecompose:
         assert result.reachable and result.depth == 1500
         assert result.paths == (tuple(SequentialMove(MoveRule.HR_D, x) for x in range(1500)),)
 
-    def test_paths_follow_parent_order_up_to_max_paths(self):
-        # the target's first parent, 2,1, was discovered first
+    def test_paths_follow_move_order_up_to_max_paths(self):
+        # lexicographic by (site, rule order): VRd@0 comes before VRs@0
         full = decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH)
         cut = decompose_parallel_transition(cfg("3"), cfg("1|1,1"), VR_BOTH, max_paths=1)
         assert [tuple(map(str, p)) for p in full.paths] == [
@@ -585,21 +586,25 @@ class TestDecompose:
                 assert replay(c, path) == target
 
 
+def meet(source, target, policy, **caps):
+    return decompose_parallel_transition(source, target, policy, max_paths=0, **caps)
+
+
 class TestMeet:
     def test_a_node_cap_that_leaves_no_room_is_inconclusive(self):
         # 3 -> 1|1,1 takes two moves; caps 1 and 2 hold at most the two ends
         for cap in (1, 2):
-            result = sequential._meet(cfg("3"), cfg("1|1,1"), VR_BOTH, node_cap=cap)
+            result = meet(cfg("3"), cfg("1|1,1"), VR_BOTH, node_cap=cap)
             assert not result.reachable and result.budget_exceeded
 
     def test_the_depth_cap_bounds_forward_plus_backward_levels(self):
         for cap, reachable, depth in ((0, False, None), (1, False, None), (2, True, 2)):
-            result = sequential._meet(cfg("3"), cfg("1|1,1"), VR_BOTH, depth_cap=cap)
+            result = meet(cfg("3"), cfg("1|1,1"), VR_BOTH, depth_cap=cap)
             assert (result.reachable, result.depth) == (reachable, depth)
             assert result.budget_exceeded is not reachable
 
     def test_a_one_move_target_is_met_by_lookup_alone(self):
-        result = sequential._meet(cfg("3"), cfg("2,1"), VR_BOTH, node_cap=2)
+        result = meet(cfg("3"), cfg("2,1"), VR_BOTH, node_cap=2)
         assert (result.reachable, result.depth, result.explored_nodes) == (True, 1, 2)
 
 
@@ -685,6 +690,17 @@ class TestNecessity:
                 (cfg("1,0,0,2"), cfg("1,0,1,0,1")),
                 (cfg("2,0,0,1"), cfg("1|0,1,0,1")),
             }
+
+    @pytest.mark.parametrize("depth_cap", [1, 0], ids=["no-move-forward", "no-predecessor"])
+    def test_an_exhausted_closure_at_the_depth_cap_is_exact(self, depth_cap):
+        # at cap 1 the forward frontier 1,1 and 1|1 has no VR or HR move; at cap 0
+        # nothing moves onto 0,2 by VR or HR; BTd both leaves 1,1 and enters 0,2
+        report = necessity_analysis(cfg("2"), cfg("0,2"), depth_cap=depth_cap)
+        assert [(name, r.reachable, r.budget_exceeded) for name, r in report.rows] == [
+            ("VR", False, False),
+            ("VR+HR", False, False),
+            ("VR+HR+BT", False, True),
+        ]
 
     def test_rows_carry_no_paths(self):
         for source, target in (("0,1|2,1,0", "0,2|0,2,0"), ("3", "1|1,1"), ("0", "0")):
