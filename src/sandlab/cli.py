@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-cap",
         type=_int_flag,
         default=DEFAULT_NODE_CAP,
-        help="states stored from both ends (default 10⁶)",
+        help="states stored from both ends in one search round (default 10⁶)",
     )
     decompose.add_argument("--max-paths", type=_int_flag, default=None)
     decompose.set_defaults(func=cmd_decompose)

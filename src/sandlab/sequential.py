@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .pile import Configuration, _Frozen
@@ -517,25 +518,34 @@ def decompose_parallel_transition(
     node_cap: int = DEFAULT_NODE_CAP,
     max_paths: int | None = 64,
 ) -> DecompositionResult:
-    """Shortest move sequences source -> target, searched from both ends until the sides meet.
+    """Shortest move sequences source -> target, searched from both ends in rounds bounded by Φ.
 
-    Level-synchronous meet in the middle (Pohl 1971) over raw ``(values,
-    offset)`` keys: each round expands the smaller frontier by one level,
-    forward by ``_successors`` or backward by ``_predecessors``, and the
-    search ends at the first state it reaches on the other side.  Up to
-    ``max_paths`` geodesics are then read off both sides by ``_geodesics``, in
-    lexicographic order of their moves by site then rule order (the order of
-    ``applicable_moves``), and ``path_count`` says how many exist; for
-    ``max_paths=0`` there are no paths and ``path_count`` is None.
+    Φ(x, y) = Σ_c |F_x(c) − F_y(c)|, F the prefix sums, is the earth mover's
+    distance on the line (Vallender 1973); a move changes it by exactly 1, so a
+    path has at least Φ = Φ(source, target) moves, of Φ's parity.  Each round
+    is a level-synchronous meet in the middle (Pohl 1971) over raw ``(values,
+    offset)`` keys: it expands the smaller frontier by a level, forward by
+    ``_successors`` or backward by ``_predecessors``, and stops at the first
+    state it reaches on the other side or when its forward plus backward
+    levels reach its bound L.  A state g moves from its end is stored only if
+    g plus its Φ to the other end is at most L.  Φ is consistent (Hart, Nilsson
+    & Raphael 1968), so every state of a path of at most L moves passes at its
+    true level: the first round with L at least the shortest length finds it,
+    and its sides hold every geodesic.  The bounds are Φ, Φ+2, Φ+6, Φ+14, … up
+    to the depth cap; if the round at the cap pruned a state, one round that
+    prunes none follows.  Up to ``max_paths`` geodesics are read off both sides
+    by ``_geodesics``, in lexicographic order of their moves by site then rule
+    order (the order of ``applicable_moves``); ``path_count`` says how many
+    exist (None, with no paths, for ``max_paths=0``).
 
     The verdict is exact when the sides meet, when a side's closure is
-    exhausted (its frontier empties, or no state on it has a move off it when
-    the depth cap stops the search), or when the totals differ (every move
-    keeps the total; nothing is stored).  Otherwise the node cap, which
-    counts the states stored on both sides, or the depth cap, which bounds
-    the forward plus backward levels, stopped the search: ``budget_exceeded``.
-    ``explored_nodes`` counts the states stored on both sides.  Both ends are
-    stored first, so a node cap of 1 stops the search before its first level.
+    exhausted in a round that pruned nothing on it (its frontier empties, or
+    has no move off it when the round stops), or when the totals differ
+    (nothing is stored).  Otherwise the node cap, on the states stored on both
+    sides in one round, or the depth cap, on the forward plus backward levels,
+    stopped the search: ``budget_exceeded``.  ``explored_nodes`` counts the
+    states stored in the last round; both ends are stored first, so a node cap
+    of 1 stops the search before its first level.
     """
     _check_max_paths(max_paths)
     _check_caps(node_cap, depth_cap)
@@ -547,42 +557,72 @@ def decompose_parallel_transition(
     if start == goal:  # the empty path
         paths, count = ((), None) if max_paths == 0 else (((),), 1)
         return DecompositionResult(True, paths, 1, False, 0, count)
-    sides = ({start: 0}, {goal: 0})  # the states stored forward and backward, with their levels
-    fronts = [[start], [goal]]  # the states of each side's last level
-    depths = [0, 0]
-    capped = node_cap < 2  # the node cap cut a level short; here, no room for both ends
-    while all(fronts) and not capped and sum(depths) < depth_cap:
-        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
-        seen, other = sides[side], sides[1 - side]
-        level = depths[side] + 1
-        new = []
-        for values, offset in fronts[side]:
-            if side:
-                images = _predecessors(values, offset, policy)
-            else:
-                images = [(v, o) for _, v, o in _successors(values, offset, policy)]
-            for key in images:
-                if key in other:
-                    # after each complete level the sides are disjoint, so the shortest
-                    # length exceeds both depths: this first meet gives it exactly
-                    stored = len(seen) + len(other)
-                    paths, count = _geodesics(sides, fronts[0], depths, policy, max_paths)
-                    return DecompositionResult(True, paths, stored, False, sum(depths) + 1, count)
-                if key not in seen:
-                    if len(seen) + len(other) >= node_cap:
-                        capped = True
-                    else:
-                        seen[key] = level
-                        new.append(key)
-        fronts[side] = new
-        depths[side] = level
-    # a side's closure is exhausted when its frontier empties, or when the depth cap
-    # stops the search at a frontier with no move off it
-    budget_exceeded = capped or (
-        any(_successors(values, offset, policy) for values, offset in fronts[0])
-        and any(_predecessors(values, offset, policy) for values, offset in fronts[1])
-    )
-    return DecompositionResult(False, (), len(sides[0]) + len(sides[1]), budget_exceeded, None)
+    ends = (_granules(*goal), _granules(*start))  # each side's Φ is to the other side's end
+    phi = _potential(start, ends[0])
+    bound = phi if phi <= depth_cap else None  # None: a round that prunes nothing
+    while True:
+        sides = ({start: 0}, {goal: 0})  # the states stored forward and backward, with their levels
+        fronts = [[start], [goal]]  # the states of each side's last level
+        depths = [0, 0]
+        pruned = [False, False]
+        capped = node_cap < 2  # the node cap cut a level short; here, no room for both ends
+        stop = depth_cap if bound is None else bound
+        while all(fronts) and not capped and sum(depths) < stop:
+            side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+            seen, other, end = sides[side], sides[1 - side], ends[side]
+            level = depths[side] + 1
+            room = None if bound is None else bound - level  # the largest Φ a new state may have
+            new = []
+            for values, offset in fronts[side]:
+                if side:
+                    images = _predecessors(values, offset, policy)
+                else:
+                    images = [(v, o) for _, v, o in _successors(values, offset, policy)]
+                for key in images:
+                    if key in other:
+                        # after each complete level the sides are disjoint, and every state of a
+                        # geodesic is on them at its level: this first meet gives the length
+                        stored, length = len(seen) + len(other), sum(depths) + 1
+                        paths, count = _geodesics(sides, fronts[0], depths, policy, max_paths)
+                        return DecompositionResult(True, paths, stored, False, length, count)
+                    if key not in seen:
+                        if room is not None and _potential(key, end) > room:
+                            pruned[side] = True
+                        elif len(seen) + len(other) >= node_cap:
+                            capped = True
+                        else:
+                            seen[key] = level
+                            new.append(key)
+            fronts[side] = new
+            depths[side] = level
+        stored = len(sides[0]) + len(sides[1])
+        if capped:
+            return DecompositionResult(False, (), stored, True, None)
+        # a side's closure is exhausted when its frontier empties, or has no move off it,
+        # in a round that pruned nothing on that side
+        if not pruned[0] and not any(_successors(*key, policy) for key in fronts[0]) or (
+            not pruned[1] and not any(_predecessors(*key, policy) for key in fronts[1])
+        ):
+            return DecompositionResult(False, (), stored, False, None)
+        if bound is None or bound == depth_cap and not any(pruned):
+            return DecompositionResult(False, (), stored, True, None)
+        # the slack over Φ doubles and grows by 2: Φ, Φ+2, Φ+6, Φ+14, …
+        bound = None if bound == depth_cap else min(2 * bound - phi + 2, depth_cap)
+
+
+def _granules(values: tuple[int, ...], offset: int) -> list[int]:
+    """The cells of a state's granules in ascending order, one entry per granule."""
+    return list(chain.from_iterable(map(repeat, range(offset, offset + len(values)), values)))
+
+
+def _potential(key: tuple[tuple[int, ...], int], granules: list[int]) -> int:
+    """Φ between the state ``key`` and the state of ``granules``, of the same total.
+
+    On the line the earth mover's distance matches the k-th granule of one
+    state to the k-th of the other, so Φ = Σ_c |F_x(c) − F_y(c)| is the sum
+    of their distances.
+    """
+    return sum(map(abs, map(operator.sub, _granules(*key), granules)))
 
 
 def _geodesics(sides, front, depths, policy: RulesetPolicy, max_paths: int | None):

@@ -9,6 +9,8 @@ hashing a state at each step.  ``budget_exceeded`` here is set whenever the dept
 non-empty frontier, even one of equilibria only.  The module-level
 ``direction`` stands in for the ``MoveRule.direction`` property the guard read,
 and ``reference_rules.cells`` for the iteration over a ``LatticeWindow``.
+``potential`` is Φ, the lower bound on path lengths that prunes the
+library's two-sided search, summed cell by cell from running sums.
 """
 
 from __future__ import annotations
@@ -218,6 +220,28 @@ def _geodesics(parents, source, target, max_paths):
         else:  # pushed reversed, so the first parent is expanded first
             stack.extend((prev, (move, suffix)) for prev, move in reversed(parents[node]))
     return paths
+
+
+def potential(a: Configuration, b: Configuration) -> int:
+    """Φ(a, b) = Σ_x |F_a(x) − F_b(x)|, with F the running sum of the cells up to x.
+
+    Summed cell by cell over one window holding both supports; outside it the
+    two running sums are equal (0 to the left, the common total to the right).
+    Every move changes one running sum by one, so every path a -> b has at
+    least Φ moves, and a number of moves of the parity of Φ.
+    """
+    if a.total() != b.total():
+        raise ValueError(f"totals differ: {a.total()} vs {b.total()}")
+    if a.is_zero:
+        return 0
+    lo = min(a.support.lo, b.support.lo)
+    hi = max(a.support.hi, b.support.hi)
+    running_a = running_b = gap = 0
+    for u, v in zip(a.window_values(lo, hi), b.window_values(lo, hi)):
+        running_a += u
+        running_b += v
+        gap += abs(running_a - running_b)
+    return gap
 
 
 def enumerate_paths(

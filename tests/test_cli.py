@@ -275,7 +275,7 @@ class TestDigraphJsonGolden:
 
 
 def test_decompose_output_is_pinned(capsys):
-    # the first four of 3,700,146 geodesics, in move order, from 3,404 states stored
+    # the first four of 3,700,146 geodesics, in move order, from 171 states stored in the Φ round
     argv = ["--source", "10", "--target", "2,2,2,2,2", "--max-paths", "4"]
     code, out, _ = run_cli(capsys, "decompose", *argv)
     assert code == 0
@@ -435,12 +435,12 @@ class TestDecomposeCommand:
     def test_necessity_rows_above_the_minimal_family_are_reachable(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "decompose", "--source", "4", "--target", "2,1,1", "--necessity", "--node-cap", "8",
+            "decompose", "--source", "6,1", "--target", "3,2,2", "--necessity", "--node-cap", "9",
         )
         assert code == 0
         assert out.splitlines() == [
-            "VR: reachable (shortest length 3)",
-            "VR+HR: reachable (shortest length 3)",
+            "VR: reachable (shortest length 5)",
+            "VR+HR: reachable (shortest length 5)",
             "VR+HR+BT: reachable (contains VR; budget exceeded before its shortest length)",
             "minimal family: VR",
         ]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_rules as ref
+import reference_sequential
 from conftest import cfg, count_paths, small_configurations
 from sandlab import sequential
 from sandlab.pile import Configuration, _LatticeState
@@ -30,7 +31,7 @@ from sandlab.sequential import (
     sequential_spm_orbit,
 )
 from test_cli import child_env
-from test_sequential_oracle import conventions
+from test_sequential_oracle import conventions, in_move_order
 from test_stencil_oracle import exact_ints
 
 # non-increasing states of total at most 10, the inputs of ``sequential_spm_orbit``
@@ -608,6 +609,55 @@ class TestMeet:
         assert (result.reachable, result.depth, result.explored_nodes) == (True, 1, 2)
 
 
+class TestPhiBounds:
+    """The rounds of ``decompose_parallel_transition``: bounds Φ, Φ+2, Φ+6, … to the depth cap."""
+
+    def test_a_geodesic_at_phi_is_met_in_the_first_round(self):
+        # Φ = 30; the unbounded meet stored 40,446 states for this pair
+        result = decompose_parallel_transition(
+            cfg("12"), cfg("2,2,2,2,2,2"), FULL, node_cap=1000, max_paths=4
+        )
+        assert (result.reachable, result.depth, result.budget_exceeded) == (True, 30, False)
+        assert result.path_count == 1_354_084_964_418
+        assert result.explored_nodes == 709
+
+    def test_no_path_is_exact_once_a_round_prunes_nothing_on_a_side(self):
+        # the VR row of 10 -> 2,2,2,2,2: rounds at 20, 22, 26 and 34 prune, the one at 50
+        # exhausts a closure, and stores what the unbounded search stored
+        result = meet(cfg("10"), cfg("2,2,2,2,2"), RulesetPolicy(VR_FAMILY))
+        assert (result.reachable, result.budget_exceeded) == (False, False)
+        assert result.explored_nodes == 201
+
+    def test_a_length_above_phi_matches_the_one_sided_search(self):
+        # Φ = 1 and the shortest length is 5: the rounds at 1 and 3 find nothing, 7 finds it
+        source, target = cfg("2,1,1"), cfg("2,1,0,1")
+        assert reference_sequential.potential(source, target) == 1
+        theirs = reference_sequential.decompose_parallel_transition(
+            source, target, FULL, max_paths=None
+        )
+        for depth_cap in (None, 5):  # a cap of 5 clips the third bound from 7 to 5
+            ours = decompose_parallel_transition(source, target, FULL, depth_cap, max_paths=None)
+            assert (ours.reachable, ours.depth, ours.path_count) == (True, 5, 3)
+            assert (theirs.depth, theirs.path_count) == (5, 3)
+            assert list(ours.paths) == in_move_order(theirs.paths)
+        # at a cap of 4 the last round prunes nothing and stops with both frontiers open
+        capped = decompose_parallel_transition(source, target, FULL, depth_cap=4)
+        assert (capped.reachable, capped.budget_exceeded) == (False, True)
+
+    def test_a_round_at_the_depth_cap_that_pruned_is_followed_by_one_that_prunes_nothing(self):
+        # Φ = 2 = the cap: the round at 2 prunes every forward state at level 2 and finds
+        # nothing; unpruned, 2|1's one predecessor has none, so that closure is exhausted
+        result = meet(cfg("3"), cfg("2|1"), VR_BOTH, depth_cap=2)
+        assert (result.reachable, result.budget_exceeded) == (False, False)
+        assert result.explored_nodes == 5
+
+    @pytest.mark.parametrize("depth_cap", [0, 10, 19])
+    def test_a_depth_cap_below_phi_is_inconclusive(self, depth_cap):
+        # Φ = 20: no path fits under the cap, but neither closure is exhausted
+        result = meet(cfg("10"), cfg("2,2,2,2,2"), FULL, depth_cap=depth_cap)
+        assert (result.reachable, result.budget_exceeded) == (False, True)
+
+
 class TestNecessity:
     def test_four_granule_hump_needs_all_three_families(self):
         report = necessity_analysis(cfg("0,1|2,1,0"), cfg("0,2|0,2,0"))
@@ -641,10 +691,11 @@ class TestNecessity:
         assert necessity_analysis(cfg("1"), cfg("0,1")).minimal_family is None
 
     def test_larger_families_hold_the_minimal_familys_path(self):
-        # VR reaches 2,1,1 in 3 moves; 8 states are too few for VR+HR+BT to find its own length
-        report = necessity_analysis(cfg("4"), cfg("2,1,1"), node_cap=8)
+        # VR reaches 3,2,2 in 5 moves; the Φ-bounded VR+HR search stores 9 states, but
+        # VR+HR+BT needs a 10th to find its own length
+        report = necessity_analysis(cfg("6,1"), cfg("3,2,2"), node_cap=9)
         assert report.minimal_family == "VR"
-        assert report.result_for("VR+HR").depth == 3
+        assert report.result_for("VR+HR").depth == 5
         full = report.result_for("VR+HR+BT")
         assert full.reachable and full.budget_exceeded and full.depth is None
 
@@ -679,6 +730,10 @@ class TestNecessity:
         for c, t in pairs:
             report = necessity_analysis(c, t, policy=policy)
             assert not any(result.budget_exceeded for _, result in report.rows), (c, t)
+            phi = reference_sequential.potential(c, t)
+            for _, result in report.rows:  # a shortest length is at least Φ, of its parity
+                assert result.depth is None or result.depth >= phi, (c, t)
+                assert result.depth is None or (result.depth - phi) % 2 == 0, (c, t)
             counts[report.minimal_family] += 1
             if report.minimal_family is None:
                 unrealized.add((c, t))

@@ -4,7 +4,8 @@ Digraphs must agree in nodes, edges and their order, levels and their order,
 equilibria and flags; the single-move API in its move lists, images and
 ``InapplicableMove`` raises; path lists in their paths and order, under every
 cut; decompositions, wherever both searches are conclusive, in their verdict,
-depth, count and geodesics, which the two-sided search lists in move order.
+depth, count and geodesics, which the two-sided search lists in move order;
+and every shortest length is at least the reference's Φ, of its parity.
 """
 
 import pytest
@@ -105,9 +106,14 @@ def test_decompose_matches_the_reference(data, source, policy, node_cap, depth_c
         return
     # the caps mean other things on the two sides (forward levels and states in the
     # reference), so the drawn caps are compared only where both verdicts are exact
+    phi = ref.potential(source, target)
     for caps in ((None, 2_000), (depth_cap, node_cap)):
         ours = decompose_parallel_transition(source, target, policy, *caps, max_paths)
         theirs = ref.decompose_parallel_transition(source, target, policy, *caps, None)
+        # every move changes Φ by one: a shortest length is at least Φ, of its parity
+        for result in (ours, theirs):
+            if result.depth is not None:
+                assert result.depth >= phi and (result.depth - phi) % 2 == 0
         if conclusive(ours) and conclusive(theirs):
             assert (ours.reachable, ours.depth, ours.path_count) == (
                 theirs.reachable,
