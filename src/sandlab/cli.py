@@ -19,9 +19,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from itertools import islice
-from json.encoder import encode_basestring_ascii as _json_string
 
 from .analysis import VERIFY_SUITES
 from .pile import (
@@ -90,67 +87,14 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write each line and its newline, as ``print`` per line would, a joined chunk at a time."""
-    lines = iter(lines)
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        sys.stdout.write("\n".join(chunk) + "\n")
-
-
-# lines per write: a few kB of DOT, or a few tens of kB of table rows, so that a chunk adds
-# little to a long output's peak memory while the writes stay few
-_CHUNK_LINES = 64
-
-
-class _Members(map):
-    """A ``map`` whose items are an object's members, ``"key": value`` JSON texts."""
-
-
-def _write_json(fields) -> None:
-    """Write the object of ``fields``, (key, value) pairs, as ``print(json.dumps(obj, indent=2))``.
-
-    The pairs are drawn one at a time, each after the previous value is
-    written, and a value that is an iterator is written as an array item by
-    item, or as an object member by member when it is ``_Members``; so a
-    document can stream, and its later fields can depend on what its earlier
-    ones consumed.  Each item of an iterator is JSON text at its final
-    indent, as ``json.dumps`` lays out an item of a top-level field.  Any
-    other value is written a chunk at a time, never as one whole string.
-    """
-    write = sys.stdout.write
-    lead = "{"
-    for key, value in fields:
-        write(f"{lead}\n  {_json_string(key)}: ")
+def _json_block(items, brackets="[]"):
+    """A top-level field's array, or with ``"{}"`` its object, as ``json.dumps(indent=2)`` lays
+    it out: each item is JSON text at its final indent, and an empty block is the bare brackets."""
+    lead = brackets[0]
+    for item in items:
+        yield f"{lead}\n    {item}"
         lead = ","
-        if isinstance(value, Iterator):
-            brackets = "{}" if isinstance(value, _Members) else "[]"
-            opened = False
-            for item in value:
-                write(("," if opened else brackets[0]) + "\n    " + item)
-                opened = True
-            write("\n  " + brackets[1] if opened else brackets)
-        else:
-            for chunk in json.JSONEncoder(indent=2).iterencode(value):
-                write(chunk.replace("\n", "\n  "))
-    write("\n}\n")
-
-
-def _run_fields(rule: RuleSpec, states, last: dict):
-    """The ``run`` document's fields, stepping the orbit as its steps are written.
-
-    ``states`` yields ``(state, fixed)`` as ``orbit_states`` does; the final
-    step's index and flag go to ``last``, which the trailer and the caller read.
-    """
-    yield "rule", {
-        "kind": rule.kind.value,
-        "neighborhood": rule.neighborhood,
-        "distribution": rule.distribution,
-        "theta": rule.theta,
-    }
-    yield "steps", _step_records(states, last)
-    yield "equilibrium", last["fixed"]
-    yield "transient_time", last["t"] if last["fixed"] else None
-    yield "step_cap_reached", not last["fixed"]
+    yield "\n  " + brackets[1] if lead == "," else brackets
 
 
 # one step of the run document, as JSON text at its indent in the steps array
@@ -167,17 +111,40 @@ def _step_records(states, last: dict):
     last.update(t=t, fixed=fixed)
 
 
-def _table_lines(rows: list):
+def _run_json(rule: RuleSpec, states, last: dict):
+    """The ``run`` document, stepping the orbit as its steps are written.
+
+    ``states`` yields ``(state, fixed)`` as ``orbit_states`` does; the final
+    step's index and flag go to ``last``, which the trailer and the caller read.
+    """
+    spec = {
+        "kind": rule.kind.value,
+        "neighborhood": rule.neighborhood,
+        "distribution": rule.distribution,
+        "theta": rule.theta,
+    }
+    yield '{\n  "rule": %s,\n  "steps": ' % json.dumps(spec, indent=2).replace("\n", "\n  ")
+    yield from _json_block(_step_records(states, last))
+    fixed = last["fixed"]
+    yield ',\n  "equilibrium": %s,\n  "transient_time": %s,\n  "step_cap_reached": %s\n}\n' % (
+        json.dumps(fixed), last["t"] if fixed else "null", json.dumps(not fixed)
+    )
+
+
+def _run_table(states, last: dict):
     """The ``run`` table: a row per ``(state, fixed)`` pair, then the trailer.
 
-    Every row spans one window: the states' supports and cell 0.
+    Every row spans one window: the states' supports and cell 0.  So the whole
+    orbit is drawn before the first row; its last flag goes to ``last``.
     """
+    rows = list(states)
     lo = min([0] + [state.offset for state, _ in rows if state.values])
     hi = max([0] + [state.offset + len(state.values) - 1 for state, _ in rows if state.values])
     window = LatticeWindow(lo, hi)
     for t, (state, fixed) in enumerate(rows):
-        yield f"t={t}  {to_literal(state, window)}"
-    yield f"equilibrium at t={t}" if fixed else f"step cap reached after {t} steps"
+        yield f"t={t}  {to_literal(state, window)}\n"
+    last["fixed"] = fixed
+    yield f"equilibrium at t={t}\n" if fixed else f"step cap reached after {t} steps\n"
 
 
 def cmd_run(args) -> int:
@@ -186,13 +153,10 @@ def cmd_run(args) -> int:
         initial = parse_height_literal(args.init)
     else:
         initial = parse_literal(args.init)
-    rows = orbit_states(initial, rule, args.max_steps)
-    if args.format == "table":  # the rows share one window, so the whole orbit comes first
-        rows = list(rows)
-        _write_lines(_table_lines(rows))
-        return 0 if rows[-1][1] else 3
+    states = orbit_states(initial, rule, args.max_steps)
     last = {}
-    _write_json(_run_fields(rule, rows, last))
+    doc = _run_table(states, last) if args.format == "table" else _run_json(rule, states, last)
+    sys.stdout.writelines(doc)
     return 0 if last["fixed"] else 3
 
 
@@ -215,40 +179,33 @@ def _policy_from_args(args) -> RulesetPolicy:
     )
 
 
-def _digraph_dot(d):
-    yield "digraph transitions {"
-    yield "  rankdir=TB;"
-    # a literal holds only digits, '-', ',' and '|', so it needs no escaping in a DOT id
-    label = {node: to_literal(node) for node in d.nodes}
-    # a search interns one move per (rule, site), so few labels serve many edges
-    move_label = {move: str(move) for move in {move for _, move, _ in d.edges}}
+def _digraph_dot(d, literal: dict, move_label: dict):
+    yield "digraph transitions {\n  rankdir=TB;\n"
     equilibria = set(d.equilibria)
     for node in d.nodes:
-        extras = ' [peripheries=2]' if node in equilibria else ""
-        yield f'  "{label[node]}"{extras};'
+        extras = " [peripheries=2]" if node in equilibria else ""
+        yield f'  "{literal[node]}"{extras};\n'
     for a, move, b in d.edges:
-        yield f'  "{label[a]}" -> "{label[b]}" [label="{move_label[move]}"];'
-    yield "}"
+        yield f'  "{literal[a]}" -> "{literal[b]}" [label="{move_label[move]}"];\n'
+    yield "}\n"
 
 
-# one edge of the digraph document, as JSON text at its indent; literals need quotes, no escapes
-_EDGE_RECORD = '{\n      "from": "%s",\n      "move": %s,\n      "to": "%s"\n    }'
+# one edge of the digraph document, as JSON text at its indent
+_EDGE_RECORD = '{\n      "from": "%s",\n      "move": "%s",\n      "to": "%s"\n    }'
 
 
-def _digraph_fields(d):
-    # every edge end, equilibrium and level key is a node: render each literal once
-    literal = {n: to_literal(n) for n in d.nodes}
-    move = {m: _json_string(str(m)) for m in {m for _, m, _ in d.edges}}
-    yield "root", literal[d.root]
-    yield "nodes", map(_json_string, literal.values())
-    yield "edges", (
-        _EDGE_RECORD % (literal[a], move[m], literal[b])
-        for a, m, b in d.edges
+def _digraph_json(d, literal: dict, move_label: dict):
+    yield '{\n  "root": "%s",\n  "nodes": ' % literal[d.root]
+    yield from _json_block(map('"%s"'.__mod__, literal.values()))
+    yield ',\n  "edges": '
+    yield from _json_block(
+        _EDGE_RECORD % (literal[a], move_label[m], literal[b]) for a, m, b in d.edges
     )
-    yield "equilibria", [literal[n] for n in d.equilibria]
-    # a level key is a literal too, so it needs quotes and no escapes
-    yield "levels", _Members('"%s": %d'.__mod__, ((literal[n], t) for n, t in d.levels.items()))
-    yield "node_cap_reached", d.node_cap_reached
+    yield ',\n  "equilibria": '
+    yield from _json_block('"%s"' % literal[n] for n in d.equilibria)
+    yield ',\n  "levels": '
+    yield from _json_block(('"%s": %d' % (literal[n], t) for n, t in d.levels.items()), "{}")
+    yield ',\n  "node_cap_reached": %s\n}\n' % json.dumps(d.node_cap_reached)
 
 
 def cmd_digraph(args) -> int:
@@ -261,10 +218,14 @@ def cmd_digraph(args) -> int:
         depth_cap=args.depth_cap,
         quotient_translations=args.quotient_translations,
     )
-    if args.out == "json":
-        _write_json(_digraph_fields(d))
-    else:
-        _write_lines(_digraph_dot(d))
+    # every edge end, equilibrium and level key is a node: render each literal once, and each
+    # move's label once, since a search interns one move per (rule, site).  A literal holds only
+    # [0-9,|-] and a label only [A-Za-z@0-9-], so both are quoted with "%s" in DOT and JSON
+    # alike and need no escapes
+    literal = {n: to_literal(n) for n in d.nodes}
+    move_label = {m: str(m) for m in {m for _, m, _ in d.edges}}
+    doc = _digraph_json if args.out == "json" else _digraph_dot
+    sys.stdout.writelines(doc(d, literal, move_label))
     return 4 if d.node_cap_reached else 0
 
 
@@ -415,13 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_NODE_CAP,
         help="states stored from both ends in one search round (default 10⁶)",
     )
-    decompose.add_argument("--max-paths", type=_int_flag, default=None)
+    decompose.add_argument(
+        "--max-paths",
+        type=_int_flag,
+        help="shortest paths listed (default 16; the library's default is 64)",
+    )
     decompose.set_defaults(func=cmd_decompose)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
-    verify.add_argument("--n-max", type=_int_flag, default=None)
-    verify.add_argument("--seed", type=_int_flag, default=0)
+    verify.add_argument(
+        "--n-max",
+        type=_int_flag,
+        help="largest size for shapes and partitions; number of cases for conservation, "
+        "nn and commutation (default: the suite's own)",
+    )
+    verify.add_argument("--seed", type=_int_flag, default=0, help="SANDLAB_SEED overrides it")
     verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -89,12 +89,19 @@ class TestRunCommand:
             calls.append(state)
             return real_step(state, rule)
 
+        _, whole, _ = run_cli(capsys, "run", "--rule", "fp", "--init", "6")
         monkeypatch.setattr(rules, "step", failing_step)
         code, out, err = run_cli(capsys, "run", "--rule", "fp", "--init", "6")
         assert code != 0
         assert "error: synthetic step failure" in err
         with pytest.raises(ValueError):
             json.loads(out)
+        # the header and each step record were written as they were made: the steps before
+        # the failing one, whole, and nothing after them
+        header = whole[: whole.index('"steps": ') + len('"steps": ')]
+        cut = whole.index(',\n    {\n      "t": %d,' % fail_at) if fail_at else len(header)
+        assert out == whole[:cut]
+        assert out.count('"t": ') == fail_at
         # the table's rows share one window, so the orbit fails before the first row is written
         calls.clear()
         code, out, err = run_cli(capsys, "run", "--rule", "fp", "--init", "6", "--format", "table")
@@ -282,19 +289,21 @@ def test_decompose_output_is_pinned(capsys):
     assert out.encode() == (GOLDEN / "decompose-10-22222.txt").read_bytes()
 
 
-class TestWriteJson:
+class TestJsonBlock:
+    @pytest.mark.parametrize("brackets", ["[]", "{}"])
     @pytest.mark.parametrize(
         "members",
         [{}, {"3": 0}, {"1|1,1": 0, "0,2|1": 1, "4,3,2,2,1": 12}],
         ids=["empty", "one", "three"],
     )
-    def test_streamed_members_write_the_bytes_of_json_dumps(self, capsys, members):
-        # digraph's levels field streams as _Members: one '"literal": level' text per member
-        cli._write_json(
-            [("levels", cli._Members('"%s": %d'.__mod__, members.items())), ("after", [1])]
-        )
-        expected = json.dumps({"levels": members, "after": [1]}, indent=2) + "\n"
-        assert capsys.readouterr().out == expected
+    def test_a_block_is_laid_out_as_json_dumps(self, members, brackets):
+        # as digraph's nodes array and levels object: one '"literal"' or '"literal": level' per item
+        if brackets == "[]":
+            value, items = list(members), ['"%s"' % key for key in members]
+        else:
+            value, items = members, ['"%s": %d' % member for member in members.items()]
+        block = "".join(cli._json_block(items, brackets))
+        assert '{\n  "field": ' + block + "\n}" == json.dumps({"field": value}, indent=2)
 
 
 class TestDigraphCommand:
