@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .analysis import VERIFY_SUITES
 from .pile import (
@@ -179,32 +180,48 @@ def _policy_from_args(args) -> RulesetPolicy:
     )
 
 
+# records per piece of a digraph block: a few writes per block, and a piece of tens of kB
+_BATCH = 512
+
+
+def _batches(records, sep: str = ""):
+    """``records`` joined with ``sep``, ``_BATCH`` at a time; a block stays a handful of pieces."""
+    records = iter(records)
+    return iter(lambda: sep.join(islice(records, _BATCH)), "")
+
+
 def _digraph_dot(d, literal: dict, move_label: dict):
     yield "digraph transitions {\n  rankdir=TB;\n"
     equilibria = set(d.equilibria)
-    for node in d.nodes:
-        extras = " [peripheries=2]" if node in equilibria else ""
-        yield f'  "{literal[node]}"{extras};\n'
-    for a, move, b in d.edges:
-        yield f'  "{literal[a]}" -> "{literal[b]}" [label="{move_label[move]}"];\n'
+    yield from _batches(
+        '  "%s"%s;\n' % (literal[node], " [peripheries=2]" if node in equilibria else "")
+        for node in d.nodes
+    )
+    yield from _batches(
+        '  "%s" -> "%s" [label="%s"];\n' % (literal[a], literal[b], move_label[m])
+        for a, m, b in d.edges
+    )
     yield "}\n"
 
 
 # one edge of the digraph document, as JSON text at its indent
 _EDGE_RECORD = '{\n      "from": "%s",\n      "move": "%s",\n      "to": "%s"\n    }'
 
+# the separator of two items in a top-level block, as _json_block lays them out
+_ITEM_SEP = ",\n    "
+
 
 def _digraph_json(d, literal: dict, move_label: dict):
+    edges = (_EDGE_RECORD % (literal[a], move_label[m], literal[b]) for a, m, b in d.edges)
+    levels = ('"%s": %d' % (literal[n], t) for n, t in d.levels.items())
     yield '{\n  "root": "%s",\n  "nodes": ' % literal[d.root]
-    yield from _json_block(map('"%s"'.__mod__, literal.values()))
+    yield from _json_block(_batches(map('"%s"'.__mod__, literal.values()), _ITEM_SEP))
     yield ',\n  "edges": '
-    yield from _json_block(
-        _EDGE_RECORD % (literal[a], move_label[m], literal[b]) for a, m, b in d.edges
-    )
+    yield from _json_block(_batches(edges, _ITEM_SEP))
     yield ',\n  "equilibria": '
-    yield from _json_block('"%s"' % literal[n] for n in d.equilibria)
+    yield from _json_block(_batches(('"%s"' % literal[n] for n in d.equilibria), _ITEM_SEP))
     yield ',\n  "levels": '
-    yield from _json_block(('"%s": %d' % (literal[n], t) for n, t in d.levels.items()), "{}")
+    yield from _json_block(_batches(levels, _ITEM_SEP), "{}")
     yield ',\n  "node_cap_reached": %s\n}\n' % json.dumps(d.node_cap_reached)
 
 
@@ -296,8 +313,14 @@ def cmd_verify(args) -> int:
         seed = args.seed if env_seed is None else _decimal(env_seed.strip())
     except ValueError:
         raise ValueError(f"SANDLAB_SEED must be an integer, got {env_seed!r}") from None
+    seeded = args.suite in ("conservation", "nn", "commutation")
+    if seed is None:
+        seed = 0
+    elif not seeded:
+        # the header still echoes the seed, so a run of every suite reads alike
+        print(f"note: suite {args.suite} is exhaustive and ignores the seed", file=sys.stderr)
     kwargs = {}
-    if args.suite in ("conservation", "nn", "commutation"):
+    if seeded:
         kwargs["seed"] = seed
         if args.n_max is not None:
             kwargs["cases"] = args.n_max
@@ -391,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest size for shapes and partitions; number of cases for conservation, "
         "nn and commutation (default: the suite's own)",
     )
-    verify.add_argument("--seed", type=_int_flag, default=0, help="SANDLAB_SEED overrides it")
+    verify.add_argument("--seed", type=_int_flag, help="default 0; SANDLAB_SEED overrides it")
     verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -168,12 +168,16 @@ def _splice(padded: tuple[int, ...], lo: int, i: int, step: int) -> tuple[tuple[
 def _successors(values: tuple[int, ...], offset: int, policy: RulesetPolicy):
     """(move, values, offset) of every move applicable to a trimmed state, by site then rule order.
 
-    Each image is given by its trimmed values and offset, spliced by
-    ``_splice``; no ``Configuration`` is built.  The moves are interned in the
-    policy: every image of a rule at a site shares one ``SequentialMove``.
+    Each image is given by its trimmed values and offset; no ``Configuration``
+    is built.  A move from an inner cell neither empties an end cell nor leaves
+    the support, so its image is ``values`` with two cells changed, at the same
+    offset; only the end cells' images are spliced by ``_splice``.  The moves
+    are interned in the policy: every image of a rule at a site shares one
+    ``SequentialMove``.
     """
     padded = (0, *values, 0)
     lo = offset - 1  # lattice cell of padded[0]
+    last = len(values)  # padded index of the last cell
     table, interned = policy._moves, policy._interned
     out = []
     for i, triple in enumerate(zip(padded, padded[1:], padded[2:]), 1):
@@ -184,7 +188,13 @@ def _successors(values: tuple[int, ...], offset: int, policy: RulesetPolicy):
             move = interned.get((rule, lo + i))
             if move is None:
                 move = interned[rule, lo + i] = SequentialMove(rule, lo + i)
-            out.append((move, *_splice(padded, lo, i, step)))
+            if 1 < i < last:
+                vals = list(values)
+                vals[i - 1] -= 1
+                vals[i - 1 + step] += 1
+                out.append((move, tuple(vals), offset))
+            else:
+                out.append((move, *_splice(padded, lo, i, step)))
     return out
 
 
@@ -532,8 +542,9 @@ def decompose_parallel_transition(
     & Raphael 1968), so every state of a path of at most L moves passes at its
     true level: the first round with L at least the shortest length finds it,
     and its sides hold every geodesic.  The bounds are Φ, Φ+2, Φ+6, Φ+14, … up
-    to the depth cap; if the round at the cap pruned a state, one round that
-    prunes none follows.  Up to ``max_paths`` geodesics are read off both sides
+    to the largest of Φ's parity within the depth cap (``_bounds``); one round
+    that prunes none follows, unless the last bound was the cap itself and its
+    round pruned nothing.  Up to ``max_paths`` geodesics are read off both sides
     by ``_geodesics``, in lexicographic order of their moves by site then rule
     order (the order of ``applicable_moves``); ``path_count`` says how many
     exist (None, with no paths, for ``max_paths=0``).
@@ -559,8 +570,7 @@ def decompose_parallel_transition(
         return DecompositionResult(True, paths, 1, False, 0, count)
     ends = (_granules(*goal), _granules(*start))  # each side's Φ is to the other side's end
     phi = _potential(start, ends[0])
-    bound = phi if phi <= depth_cap else None  # None: a round that prunes nothing
-    while True:
+    for bound in _bounds(phi, depth_cap):
         sides = ({start: 0}, {goal: 0})  # the states stored forward and backward, with their levels
         fronts = [[start], [goal]]  # the states of each side's last level
         depths = [0, 0]
@@ -606,8 +616,24 @@ def decompose_parallel_transition(
             return DecompositionResult(False, (), stored, False, None)
         if bound is None or bound == depth_cap and not any(pruned):
             return DecompositionResult(False, (), stored, True, None)
-        # the slack over Φ doubles and grows by 2: Φ, Φ+2, Φ+6, Φ+14, …
-        bound = None if bound == depth_cap else min(2 * bound - phi + 2, depth_cap)
+
+
+def _bounds(phi: int, depth_cap: int):
+    """The bounds of the rounds of ``decompose_parallel_transition``, then None: a round unpruned.
+
+    The slack over Φ doubles and grows by 2: Φ, Φ+2, Φ+6, Φ+14, …, clipped to
+    the largest bound within the depth cap that has Φ's parity.  A state's
+    level plus its Φ always has Φ's parity, so a bound of the other parity
+    prunes as the one below it does; no bound is run twice.
+    """
+    top = depth_cap - (depth_cap - phi) % 2
+    bound = phi
+    while bound < top:
+        yield bound
+        bound = min(2 * bound - phi + 2, top)
+    if bound == top:
+        yield bound
+    yield None
 
 
 def _granules(values: tuple[int, ...], offset: int) -> list[int]:

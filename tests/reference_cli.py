@@ -1,9 +1,9 @@
 """The CLI's documents as first written: whole, from the collected orbit or digraph.
 
 A differential oracle for the streaming writers of ``sandlab.cli``: each
-function below builds the complete ``run`` or ``digraph --out json`` document
-in memory, and encodes it with ``json.dumps(indent=2)`` or joins the ``run``
-table's lines.  ``print`` added the final newline, which the callers here
+function below builds the complete ``run`` or ``digraph`` document in memory,
+and encodes it with ``json.dumps(indent=2)`` or joins the lines of the ``run``
+table or the DOT graph.  ``print`` added the final newline, which the callers here
 append.  An orbit arrives as its ``(state, fixed)`` rows, as
 ``reference_rules.orbit`` collects them.
 """
@@ -63,3 +63,16 @@ def digraph_json(d) -> str:
         "node_cap_reached": d.node_cap_reached,
     }
     return json.dumps(obj, indent=2)
+
+
+def digraph_dot(d) -> str:
+    """``digraph --out dot``: every node, an equilibrium with two peripheries, then every edge."""
+    equilibria = set(d.equilibria)
+    lines = ["digraph transitions {", "  rankdir=TB;"]
+    for node in d.nodes:
+        extras = " [peripheries=2]" if node in equilibria else ""
+        lines.append(f'  "{to_literal(node)}"{extras};')
+    for a, move, b in d.edges:
+        lines.append(f'  "{to_literal(a)}" -> "{to_literal(b)}" [label="{move}"];')
+    lines.append("}")
+    return "\n".join(lines)

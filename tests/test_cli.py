@@ -658,6 +658,31 @@ class TestVerifyCommand:
         assert code == 0
         assert out.encode() == (GOLDEN / "verify-shapes.txt").read_bytes()
 
+    @pytest.mark.parametrize("suite", ["shapes", "partitions"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_an_exhaustive_suite_notes_an_ignored_seed(self, capsys, monkeypatch, suite, via):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite)
+        assert err == ""
+        if via == "env":
+            monkeypatch.setenv("SANDLAB_SEED", "5")
+            seeded = run_cli(capsys, "verify", "--suite", suite)
+        else:
+            seeded = run_cli(capsys, "verify", "--suite", suite, "--seed", "5")
+        # stdout differs only in the echoed seed, and the exit code not at all
+        assert seeded == (
+            code,
+            out.replace(f"suite={suite} seed=0\n", f"suite={suite} seed=5\n", 1),
+            f"note: suite {suite} is exhaustive and ignores the seed\n",
+        )
+        if suite == "shapes":
+            assert out.encode() == (GOLDEN / "verify-shapes.txt").read_bytes()
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["default", "given"])
+    def test_a_sampled_suite_takes_the_seed_without_a_note(self, capsys, seed):
+        code, out, err = run_cli(capsys, "verify", "--suite", "commutation", "--n-max", "5", *seed)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"suite=commutation seed={seed[1] if seed else 0}\n")
+
     def test_conservation_stdout_bytes(self, capsys):
         # pins the move-application count: a kernel that drops or repeats an image fails
         code, out, _ = run_cli(capsys, "verify", "--suite", "conservation", "--seed", "0")

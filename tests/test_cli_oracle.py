@@ -1,4 +1,4 @@
-"""``run`` (JSON and table) and ``digraph --out json`` stdout against the whole-document oracle.
+"""``run`` (JSON and table) and ``digraph`` (JSON and DOT) stdout against the whole-document oracle.
 
 The CLI's stdout must equal, byte for byte, what ``reference_cli`` renders
 from the orbit that ``reference_rules.orbit`` collects or from the library's
@@ -9,18 +9,21 @@ orbit's last flag or the digraph's cap flag.
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_cli as ref
 import reference_rules
-from sandlab.cli import main
+from sandlab.cli import _BATCH, main
 from sandlab.pile import Configuration, HeightProfile, parse_height_literal, parse_literal, to_literal
 from sandlab.rules import RuleKind, RuleSpec
-from sandlab.sequential import explore_digraph
+from sandlab.sequential import MoveRule, RulesetPolicy, explore_digraph
 from test_sequential_oracle import configurations, node_caps, policies
 from test_stencil_oracle import FIXED_KINDS, rules
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_main(argv):
@@ -131,16 +134,18 @@ def test_pinned_runs_match_the_oracle_byte_for_byte(kind, literal, max_steps, ex
     assert (min(written), max(written)) == extremes if written else extremes is None
 
 
-@settings(max_examples=200, deadline=None)
-@given(configurations, policies, node_caps, st.booleans())
-def test_digraph_json_matches_the_oracle(c, policy, node_cap, quotient):
+ORACLES = {"json": ref.digraph_json, "dot": ref.digraph_dot}
+
+
+def check_digraph(c, policy, node_cap, quotient, out_format):
+    """``digraph --out out_format`` on ``c`` against the oracle; returns the library's digraph."""
     argv = [
         "digraph",
         f"--init={to_literal(c)}",
         "--rules", ",".join(rule.name.lower() for rule in policy.enabled),
         "--node-cap", str(node_cap),
         "--bt-floor", str(policy.bt_height_floor),
-        "--out", "json",
+        "--out", out_format,
     ]
     argv += ["--no-hr-convention"] * (not policy.hr_convention)
     argv += ["--hr-summary-strict"] * policy.hr_summary_strict
@@ -149,5 +154,38 @@ def test_digraph_json_matches_the_oracle(c, policy, node_cap, quotient):
     d = explore_digraph(
         parse_literal(to_literal(c)), policy, node_cap=node_cap, quotient_translations=quotient
     )
-    assert out == ref.digraph_json(d) + "\n"
+    assert out == ORACLES[out_format](d) + "\n"
     assert code == (4 if d.node_cap_reached else 0)
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(configurations, policies, node_caps, st.booleans())
+def test_digraph_json_matches_the_oracle(c, policy, node_cap, quotient):
+    check_digraph(c, policy, node_cap, quotient, "json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(configurations, policies, node_caps, st.booleans())
+def test_digraph_dot_matches_the_oracle(c, policy, node_cap, quotient):
+    check_digraph(c, policy, node_cap, quotient, "dot")
+
+
+def test_the_dot_oracle_draws_the_pinned_graph():
+    d = explore_digraph(parse_literal("5,4,2,1"), RulesetPolicy(frozenset({MoveRule.VR_D})))
+    assert ref.digraph_dot(d) + "\n" == (GOLDEN / "digraph-5421-vrd.dot").read_text()
+
+
+@pytest.mark.parametrize("out_format", ["json", "dot"])
+def test_a_digraph_of_many_batches_matches_the_oracle(out_format):
+    # the writers join _BATCH records a piece: these node and edge blocks take several pieces
+    d = check_digraph(Configuration((8,)), RulesetPolicy(), 2000, False, out_format)
+    assert (len(d.nodes), len(d.edges)) == (2000, 9317)
+    assert min(len(d.nodes), len(d.edges), len(d.levels)) > 3 * _BATCH
+
+
+@pytest.mark.parametrize("out_format", ["json", "dot"])
+def test_a_digraph_without_edges_matches_the_oracle(out_format):
+    policy = RulesetPolicy(frozenset({MoveRule.VR_D}))
+    d = check_digraph(Configuration((1,)), policy, 10, False, out_format)
+    assert (len(d.nodes), d.edges, d.equilibria) == (1, (), (d.root,))

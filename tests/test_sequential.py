@@ -610,7 +610,8 @@ class TestMeet:
 
 
 class TestPhiBounds:
-    """The rounds of ``decompose_parallel_transition``: bounds Φ, Φ+2, Φ+6, … to the depth cap."""
+    """The rounds of ``decompose_parallel_transition``: bounds Φ, Φ+2, Φ+6, … to the depth cap,
+    clipped to Φ's parity."""
 
     def test_a_geodesic_at_phi_is_met_in_the_first_round(self):
         # Φ = 30; the unbounded meet stored 40,446 states for this pair
@@ -650,6 +651,37 @@ class TestPhiBounds:
         result = meet(cfg("3"), cfg("2|1"), VR_BOTH, depth_cap=2)
         assert (result.reachable, result.budget_exceeded) == (False, False)
         assert result.explored_nodes == 5
+
+    @pytest.mark.parametrize(
+        "phi, depth_cap, bounds",
+        [
+            (1, 4, [1, 3, None]),
+            (1, 5, [1, 3, 5, None]),
+            (0, 8, [0, 2, 6, 8, None]),
+            (2, 50, [2, 4, 8, 16, 32, 50, None]),
+            (4, 4, [4, None]),
+            (4, 5, [4, None]),
+            (3, 2, [None]),
+        ],
+    )
+    def test_bounds_keep_phis_parity_and_never_repeat(self, phi, depth_cap, bounds):
+        assert list(sequential._bounds(phi, depth_cap)) == bounds
+
+    def test_a_cap_of_the_other_parity_from_phi_runs_no_round_twice(self, monkeypatch):
+        # Φ = 1: a round at the cap 4 pruned as the one at 3 did and stored the same 9 states;
+        # now 3 is the last bounded round, and the verdict is the one the round at 4 gave
+        rounds = []
+        real = sequential._bounds
+
+        def bounds(phi, depth_cap):
+            for bound in real(phi, depth_cap):
+                rounds.append(bound)
+                yield bound
+
+        monkeypatch.setattr(sequential, "_bounds", bounds)
+        result = decompose_parallel_transition(cfg("2,1,1"), cfg("2,1,0,1"), FULL, depth_cap=4)
+        assert rounds == [1, 3, None]
+        assert result == (False, (), 23, True, None, None)
 
     @pytest.mark.parametrize("depth_cap", [0, 10, 19])
     def test_a_depth_cap_below_phi_is_inconclusive(self, depth_cap):

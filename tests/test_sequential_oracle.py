@@ -85,6 +85,48 @@ def test_single_move_api_matches_the_reference(c, policy):
                 )
 
 
+# states of width 1 to 3, at a few offsets, whose moves reach the support's ends: a source at
+# the first or last cell that empties, and a destination just off the support on either side
+END_CASES = [
+    Configuration(values, offset)
+    for values in [
+        (1,), (2,), (3,),
+        (1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2),
+        (1, 0, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 0, 2), (3, 2, 1), (2, 0, 2), (1, 3, 1),
+    ]
+    for offset in (-2, 0, 3)
+]
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [RulesetPolicy(hr_convention=False), RulesetPolicy()],
+    ids=["no-hr-convention", "default"],
+)
+def test_successors_at_the_support_ends_match_the_reference(policy):
+    reached = set()
+    for c in END_CASES:
+        images = [
+            (move, ref.apply_move(c, move, policy)) for move in ref.applicable_moves(c, policy)
+        ]
+        assert _successors(c.values, c.offset, policy) == [
+            (move, image.values, image.offset) for move, image in images
+        ]
+        for _, image in images:
+            lo, hi = image.offset, image.offset + len(image.values)
+            reached.update(
+                kind
+                for kind, holds in (
+                    ("off left", lo < c.offset),
+                    ("first emptied", lo > c.offset),
+                    ("off right", hi > c.offset + len(c.values)),
+                    ("last emptied", hi < c.offset + len(c.values)),
+                )
+                if holds
+            )
+    assert reached == {"off left", "first emptied", "off right", "last emptied"}
+
+
 def conclusive(result) -> bool:
     return result.reachable or not result.budget_exceeded
 
