@@ -221,6 +221,21 @@ def _randbelow(getrandbits, n: int) -> int:
     return r
 
 
+def _draws(getrandbits, n: int, count: int) -> list[int]:
+    """``count`` successive ``_randbelow(getrandbits, n)`` draws, with ``k`` computed once."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(r)
+    return out
+
+
 def random_configuration(
     rng: random.Random,
     max_support: int = 20,
@@ -228,19 +243,35 @@ def random_configuration(
     offset_range: tuple[int, int] = (-8, 8),
 ) -> Configuration:
     """randint(1, max_support) cells of randint(0, max_value), from cell randint(*offset_range)."""
-    bits, n = rng.getrandbits, max_value + 1
+    bits = rng.getrandbits
     lo, hi = offset_range
-    width = 1 + _randbelow(bits, max_support)
-    vals = [_randbelow(bits, n) for _ in range(width)]
-    return Configuration._of_ints(vals, lo + _randbelow(bits, hi - lo + 1))
+    cells = _draws(bits, max_value + 1, 1 + _randbelow(bits, max_support))
+    return Configuration._of_ints(cells, lo + _randbelow(bits, hi - lo + 1))
 
 
 def random_fp_rule(rng: random.Random, max_offset: int = 6, max_payout: int = 4) -> RuleSpec:
-    """randint(1, 5) distinct nonzero offsets up to max_offset, paying randint(1, max_payout)."""
+    """randint(1, 5) distinct nonzero offsets up to max_offset, paying randint(1, max_payout).
+
+    The offsets are ``rng.sample``'s: for a population of at most 21 it keeps a pool and
+    moves the last unchosen item into each chosen slot, as here; a larger population (a set
+    of chosen indices) or one smaller than the sample is left to ``rng.sample`` itself.
+    """
     bits = rng.getrandbits
     size = 1 + _randbelow(bits, 5)
-    offsets = rng.sample([*range(-max_offset, 0), *range(1, max_offset + 1)], size)
-    payouts = [1 + _randbelow(bits, max_payout) for _ in offsets]
+    pool = [*range(-max_offset, 0), *range(1, max_offset + 1)]
+    n = len(pool)
+    if not size <= n <= 21:
+        offsets = rng.sample(pool, size)
+    else:
+        offsets = []
+        for m in range(n, n - size, -1):  # m = n - i unchosen items left
+            k = m.bit_length()
+            j = bits(k)
+            while j >= m:
+                j = bits(k)
+            offsets.append(pool[j])
+            pool[j] = pool[m - 1]
+    payouts = [1 + r for r in _draws(bits, max_payout, size)]
     return fp_rule(tuple(offsets), tuple(payouts))
 
 
@@ -370,11 +401,12 @@ def verify_commutation(seed: int = 0, cases: int = 1000) -> list[CheckResult]:
     for _ in range(cases):
         c = random_configuration(rng, max_support=30, max_value=40)
         h = height_profile(c)
-        if height_profile(gk_step(c)) == height_step(h):
+        stepped = height_step(h)
+        if height_profile(gk_step(c)) == stepped:
             commutes += 1
         if h.total() == 0:
             telescopes += 1
-        if height_step(h).total() == h.total():
+        if stepped.total() == h.total():
             preserved += 1
     return [
         CheckResult("transform-commutation", commutes == cases, f"{cases} configurations"),

@@ -45,11 +45,13 @@ class _Frozen:
 
     def __init_subclass__(cls):
         cls._key = operator.attrgetter(*cls._fields)
+        # each slot's descriptor sets it directly, past the raising __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _init(self, *values) -> None:
         """Set each of the class's own slots once, in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values, strict=True):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -1,14 +1,17 @@
 """The case drawers of ``analysis`` against the ``randint`` drawers they replaced.
 
 ``random_configuration`` and ``random_fp_rule`` draw through
-``analysis._randbelow``, which repeats what CPython's ``Random.randint`` does
-underneath.  The ``randint`` drawers below are the old implementation, kept as
-the oracle: every test asserts the same cases, the same rules and the same
-generator state afterwards, so a change in how ``randint`` draws fails here
-instead of silently changing the cases the ``verify`` suites test.
+``analysis._randbelow`` and ``analysis._draws``, which repeat what CPython's
+``Random.randint`` does underneath, and ``random_fp_rule`` picks its offsets
+with the pool method of ``Random.sample``.  The ``randint`` drawers below are
+the old implementation, kept as the oracle: every test asserts the same cases,
+the same rules and the same generator state afterwards, so a change in how
+``randint`` or ``sample`` draws fails here instead of silently changing the
+cases the ``verify`` suites test.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,3 +131,35 @@ def test_an_empty_payout_range_raises_where_randint_raises():
         randint_fp_rule(random.Random(0), max_payout=0)
     with pytest.raises(ValueError, match="empty range"):
         random_fp_rule(BoundedRandom(0), max_payout=0)
+
+
+@pytest.mark.parametrize("max_offset", [10, 11])
+def test_fp_rules_match_sample_on_both_sides_of_its_pool_limit(max_offset):
+    # rng.sample keeps a pool for at most 21 offsets (20 here) and a set of indices for 22
+    for seed in range(40):
+        rng, oracle = BoundedRandom(seed), random.Random(seed)
+        for _ in range(5):
+            rule = random_fp_rule(rng, max_offset=max_offset)
+            assert_same_rule(rule, randint_fp_rule(oracle, max_offset=max_offset))
+        assert_same_state_after(rng, oracle)
+    with pytest.raises(ValueError, match="empty range"):
+        random_fp_rule(BoundedRandom(0), max_offset=max_offset, max_payout=0)
+
+
+@pytest.mark.parametrize("max_offset", [0, 1, 2])
+def test_a_sample_larger_than_the_offsets_raises_where_sample_raises(max_offset):
+    # 0, 2 or 4 offsets against 1 to 5 drawn: some draws fit, the rest raise in rng.sample
+    outcomes = set()
+    for seed in range(40):
+        rng, oracle = BoundedRandom(seed), random.Random(seed)
+        try:
+            expected = randint_fp_rule(oracle, max_offset=max_offset)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                random_fp_rule(rng, max_offset=max_offset)
+            outcomes.add("raised")
+        else:
+            assert_same_rule(random_fp_rule(rng, max_offset=max_offset), expected)
+            outcomes.add("drawn")
+        assert_same_state_after(rng, oracle)
+    assert outcomes == ({"raised"} if max_offset == 0 else {"raised", "drawn"})

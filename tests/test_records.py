@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import RECORDS, UNHASHABLE_RECORDS, cfg
+from sandlab.pile import _Frozen
 from sandlab.rules import fp_rule
 from sandlab.sequential import MoveRule, RulesetPolicy, SequentialMove, explore_digraph
 
@@ -124,6 +125,57 @@ def test_slotted_records_equal_only_their_own_type():
     rule, move = fp_rule(), SequentialMove(MoveRule.VR_D, 0)
     assert rule != (rule.kind, rule.neighborhood, rule.distribution)
     assert move != (MoveRule.VR_D, 0) and (MoveRule.VR_D, 0) != move
+
+
+class Pair(_Frozen):
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a, b):
+        self._init(a, b)
+
+
+class Summed(_Frozen):
+    """A record with a derived slot after its fields, as rules and moves have."""
+
+    _fields = ("a", "b")
+    __slots__ = (*_fields, "total")
+
+    def __init__(self, a, b):
+        self._init(a, b, a + b)
+
+
+class TestFrozenSlots:
+    def test_init_sets_every_slot_in_slot_order(self):
+        pair, summed = Pair(1, [2]), Summed(3, 4)
+        assert (pair.a, pair.b) == (1, [2])
+        assert (summed.a, summed.b, summed.total) == (3, 4, 7)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["too-few", "too-many"])
+    @pytest.mark.parametrize("cls", [Pair, Summed])
+    def test_one_value_too_many_or_too_few_raises(self, cls, delta):
+        with pytest.raises(ValueError):
+            cls(0, 0)._init(*range(len(cls.__slots__) + delta))
+
+    @pytest.mark.parametrize("name", ["a", "b", "total", "other"])
+    def test_assignment_and_deletion_still_raise(self, name):
+        record = Summed(1, 2)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert (record.a, record.b, record.total) == (1, 2, 3)
+
+    def test_repr_pickle_and_equality_follow_the_fields(self):
+        for record in (Pair(1, "x"), Summed(1, 2)):
+            name = type(record).__name__
+            assert repr(record) == f"{name}(a=1, b={record.b!r})"
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                clone = pickle.loads(pickle.dumps(record, protocol))
+                assert type(clone) is type(record) and clone == record
+                assert hash(clone) == hash(record) and repr(clone) == repr(record)
+        assert Summed(1, 2).total == pickle.loads(pickle.dumps(Summed(1, 2))).total == 3
+        assert Pair(1, 2) == Pair(1, 2) and Pair(1, 2) != Pair(2, 1)
+        assert Pair(1, 2) != Summed(1, 2) and Pair(1, 2) != (1, 2)
 
 
 def test_result_records_are_named_tuples():
