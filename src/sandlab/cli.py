@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from itertools import islice
+from operator import itemgetter
 
 from .analysis import VERIFY_SUITES
 from .pile import (
@@ -103,12 +104,27 @@ _STEP_RECORD = (
     '{\n      "t": %d,\n      "offset": %d,\n      "values": %s,\n      "total": %d\n    }'
 )
 
+# cell texts a run document's memo holds before a step with a new value clears it
+_MEMO_CAP = 512
+
 
 def _step_records(states, last: dict):
+    text = {}  # value -> its "%d" text: cell values repeat, and a step reads them in one C call
     for t, (state, fixed) in enumerate(states):
-        n = len(state.values)  # cell values are the bulk of a trace: one template renders them
-        values = ("[\n        %d" + ",\n        %d" * (n - 1) + "\n      ]") if n else "[]"
-        yield _STEP_RECORD % (t, state.offset, values % state.values, state.total())
+        values, cells = state.values, "[]"
+        if values:
+            read = itemgetter(*values)
+            try:
+                cells = read(text)
+            except KeyError:
+                if len(text) > _MEMO_CAP:
+                    text.clear()
+                text.update({v: "%d" % v for v in set(values).difference(text)})
+                cells = read(text)
+            # itemgetter of one key returns its text, not a 1-tuple
+            cells = ",\n        ".join(cells) if len(values) > 1 else cells
+            cells = f"[\n        {cells}\n      ]"
+        yield _STEP_RECORD % (t, state.offset, cells, state.total())
     last.update(t=t, fixed=fixed)
 
 
@@ -235,12 +251,12 @@ def cmd_digraph(args) -> int:
         depth_cap=args.depth_cap,
         quotient_translations=args.quotient_translations,
     )
-    # every edge end, equilibrium and level key is a node: render each literal once, and each
-    # move's label once, since a search interns one move per (rule, site).  A literal holds only
-    # [0-9,|-] and a label only [A-Za-z@0-9-], so both are quoted with "%s" in DOT and JSON
-    # alike and need no escapes
+    # every edge end, equilibrium and level key is a node: render each literal once.  Every
+    # edge's move is one the search interned in the policy: label each of those once.  A literal
+    # holds only [0-9,|-] and a label only [A-Za-z@0-9-], so both are quoted with "%s" in DOT
+    # and JSON alike and need no escapes
     literal = {n: to_literal(n) for n in d.nodes}
-    move_label = {m: str(m) for m in {m for _, m, _ in d.edges}}
+    move_label = {m: str(m) for m in policy._interned.values()}
     doc = _digraph_json if args.out == "json" else _digraph_dot
     sys.stdout.writelines(doc(d, literal, move_label))
     return 4 if d.node_cap_reached else 0

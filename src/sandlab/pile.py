@@ -114,9 +114,9 @@ class _LatticeState(_Frozen):
             trail -= 1
         values, offset = values[lead:trail], offset + lead if lead < trail else 0
         state = object.__new__(cls)
-        object.__setattr__(state, "values", values)
-        object.__setattr__(state, "offset", offset)
-        object.__setattr__(state, "_hash", hash((values, offset)))
+        _set_values(state, values)
+        _set_offset(state, offset)
+        _set_hash(state, hash((values, offset)))
         return state
 
     def __hash__(self) -> int:
@@ -172,6 +172,10 @@ class _LatticeState(_Frozen):
 
     def __str__(self) -> str:
         return to_literal(self)
+
+
+# the slot setters of every state: a subclass adds no slot, so its own _setters are empty
+_set_values, _set_offset, _set_hash = _LatticeState._setters
 
 
 class Configuration(_LatticeState):

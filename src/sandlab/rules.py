@@ -235,9 +235,10 @@ def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:
     neighbour as a shifted slice.
     """
     kind, r, th = rule.kind, rule.radius, rule.theta
+    pad = (0,) * r
     if kind in _THRESHOLD_KINDS:
         shed = 0 if kind is _CONSTANT_G1 else th
-        out = [0] * r + list(state.values) + [0] * r
+        out = [*pad, *state.values, *pad]
         # the firing cells, as indices of out
         hot = [j for j, v in enumerate(state.values, r) if v >= th]
         for y, d in ((0, -shed), *zip(rule.neighborhood, rule.distribution)):
@@ -245,7 +246,7 @@ def _stencil(state: _LatticeState, rule: RuleSpec) -> tuple[list[int], int]:
                 out[j - y] += d
         return out, state.offset - r
     width = len(state.values) + 2 * r
-    padded = [0] * (2 * r) + list(state.values) + [0] * (2 * r)
+    padded = [*pad, *pad, *state.values, *pad, *pad]
     # padded[r + y:] holds c(x + y) from the first cell on; zip stops at the width
     centre = padded[r : r + width]
     if kind is _SYMMETRIC_SM1:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_cli as ref
 import reference_rules
-from sandlab.cli import _BATCH, main
+from sandlab.cli import _BATCH, _MEMO_CAP, main
 from sandlab.pile import Configuration, HeightProfile, parse_height_literal, parse_literal, to_literal
 from sandlab.rules import RuleKind, RuleSpec
 from sandlab.sequential import MoveRule, RulesetPolicy, explore_digraph
@@ -120,6 +120,10 @@ def test_pinned_tables_match_the_oracle(kind, literal, max_steps, lines):
         (RuleKind.HEIGHT_DIFF, "-5", None, (-5, -5)),  # one negative cell
         (RuleKind.GK, "0", None, None),  # the zero state
         (RuleKind.HEIGHT_DIFF, "0", None, None),
+        # more distinct values than the cell-text memo holds: it is cleared and refilled
+        (RuleKind.GK, "3000", 600, (1, 3000)),
+        (RuleKind.HEIGHT_DIFF, "-600|600", None, (-600, 600)),  # new values at both ends
+        (RuleKind.FP, "5", None, (0, 5)),  # a one-cell step, then wider steps
     ],
 )
 def test_pinned_runs_match_the_oracle_byte_for_byte(kind, literal, max_steps, extremes):
@@ -132,6 +136,16 @@ def test_pinned_runs_match_the_oracle_byte_for_byte(kind, literal, max_steps, ex
     assert code == (0 if rows[-1][1] else 3)
     written = [v for step in json.loads(out)["steps"] for v in step["values"]]
     assert (min(written), max(written)) == extremes if written else extremes is None
+
+
+@pytest.mark.parametrize(
+    "kind, literal, max_steps",
+    [(RuleKind.GK, "3000", 600), (RuleKind.HEIGHT_DIFF, "-600|600", None)],
+)
+def test_the_pinned_long_runs_outgrow_the_cell_text_memo(kind, literal, max_steps):
+    # so the byte-for-byte runs above reach the memo's clear-and-refill path
+    rows = reference_orbit(RuleSpec(kind), literal, max_steps)
+    assert len({v for state, _ in rows for v in state.values}) > _MEMO_CAP + 1
 
 
 ORACLES = {"json": ref.digraph_json, "dot": ref.digraph_dot}

@@ -130,6 +130,23 @@ class TestStateContract:
         assert type(state) is state_type and type(state.values) is tuple
         assert state == public and hash(state) == hash(public)
 
+    @given(
+        st.sampled_from([Configuration, HeightProfile]),
+        st.lists(st.integers(0, 9), max_size=12),
+        st.integers(-6, 6),
+    )
+    def test_both_constructors_set_frozen_hashed_picklable_slots(self, state_type, values, offset):
+        # _of_ints sets the slots through _LatticeState's descriptors, __new__ through _of_ints
+        for state in (state_type._of_ints(values, offset), state_type(values, offset)):
+            for name in ("values", "offset", "_hash"):
+                with pytest.raises(AttributeError):
+                    setattr(state, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(state, name)
+            assert hash(state) == state._hash == hash((state.values, state.offset))
+            clone = pickle.loads(pickle.dumps(state))
+            assert type(clone) is state_type and clone == state and hash(clone) == hash(state)
+
     def test_the_int_trusting_constructor_still_rejects_a_negative_count(self):
         with pytest.raises(NegativeValue, match="^granule count -1 is negative$"):
             Configuration._of_ints((1, -1), 0)
