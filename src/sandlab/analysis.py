@@ -31,7 +31,7 @@ from .rules import (
 from .sequential import (
     ALL_RULES,
     RulesetPolicy,
-    _successors,
+    _images,
     sequential_spm_orbit,
 )
 
@@ -278,7 +278,7 @@ def random_fp_rule(rng: random.Random, max_offset: int = 6, max_payout: int = 4)
 def verify_conservation(seed: int = 0, cases: int = 10_000) -> list[CheckResult]:
     """Vertical rule and all six moves conserve; const-g1 visibly does not.
 
-    The move images are checked raw, as ``_successors`` gives them to the BFS:
+    The move images are checked raw, as ``_images`` gives them to the BFS:
     an image passes only if it is canonical (non-empty, with nonzero end
     cells), has no negative cell and keeps the source's total.  No
     ``Configuration`` is built per image.
@@ -295,7 +295,7 @@ def verify_conservation(seed: int = 0, cases: int = 10_000) -> list[CheckResult]
         if gk_step(c).total() != total:
             bad_gk += 1
         # the images the BFS itself explores
-        for move, values, _ in _successors(c.values, c.offset, policy):
+        for move, values, _ in _images(c.values, c.offset, policy):
             move_uses[move.rule] += 1
             if not (
                 values and values[0] and values[-1] and min(values) >= 0 and sum(values) == total

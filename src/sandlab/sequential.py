@@ -82,9 +82,10 @@ class RulesetPolicy(_Frozen):
     """
 
     _fields = ("enabled", "hr_convention", "hr_summary_strict", "bt_height_floor")
-    # _moves, the move table: (left, mid, right) -> the (rule, step) pairs that fire there;
+    # _moves and _back, the forward and backward move tables: (left, mid, right) -> the
+    # (rule, lose, gain) entries that fire there (``_moves_at``);
     # _interned, the interned moves: (rule, site) -> its one SequentialMove, shared by every image
-    __slots__ = (*_fields, "_moves", "_interned")
+    __slots__ = (*_fields, "_moves", "_back", "_interned")
 
     def __init__(
         self,
@@ -105,7 +106,7 @@ class RulesetPolicy(_Frozen):
             raise ValueError("bt_height_floor must be at least 1")
         if hr_summary_strict and not hr_convention:
             raise ValueError("hr_summary_strict narrows hr_convention, which is off")
-        self._init(enabled, hr_convention, hr_summary_strict, floor, {}, {})
+        self._init(enabled, hr_convention, hr_summary_strict, floor, {}, {}, {})
 
 
 # each rule's step from the source cell to the destination cell
@@ -133,108 +134,81 @@ def _guard(rule: MoveRule, left: int, mid: int, right: int, policy: RulesetPolic
 
 
 def _moves_at(
-    triple: tuple[int, int, int], policy: RulesetPolicy
-) -> tuple[tuple[MoveRule, int], ...]:
-    """The (rule, step) pairs of the enabled rules that fire at ``triple``, in rule order.
+    triple: tuple[int, int, int], policy: RulesetPolicy, back: bool
+) -> tuple[tuple[MoveRule, int, int], ...]:
+    """The (rule, lose, gain) entries of the enabled rules that fire at ``triple``, in rule order.
 
-    Looked up in the policy's move table, which ``_guard`` fills the first
-    time a triple is seen.
+    ``lose`` and ``gain`` are the offsets from the centre of the cells that
+    lose and gain a granule: ``(0, step)`` forward, at a state's triple around
+    a source, and ``(step, 0)`` backward, at an image's.  Before a rightward
+    move that triple was ``(left, mid + 1, right - 1)``, before a leftward one
+    ``(left - 1, mid + 1, right)``, and the destination holds the granule.
+    ``_guard`` alone fills the policy's two tables, the first time a triple is seen.
     """
-    moves = policy._moves.get(triple)
-    if moves is None:
-        moves = policy._moves[triple] = tuple(
-            (rule, _STEP[rule])
-            for rule in RULE_ORDER
-            if rule in policy.enabled and _guard(rule, *triple, policy)
-        )
+    left, mid, right = triple
+    entries = []
+    for rule in RULE_ORDER:
+        step = _STEP[rule]
+        if rule not in policy.enabled:
+            continue
+        if not back:
+            if _guard(rule, left, mid, right, policy):
+                entries.append((rule, 0, step))
+        elif (right if step > 0 else left) and _guard(
+            rule, left - (step < 0), mid + 1, right - (step > 0), policy
+        ):
+            entries.append((rule, step, 0))
+    moves = (policy._back if back else policy._moves)[triple] = tuple(entries)
     return moves
 
 
-def _splice(padded: tuple[int, ...], lo: int, i: int, step: int) -> tuple[tuple[int, ...], int]:
-    """Trimmed (values, offset) after a granule moves from ``padded[i]`` to ``padded[i + step]``.
+def _images(values: tuple[int, ...], offset: int, policy: RulesetPolicy, back: bool = False):
+    """(move, values, offset) of every move out of a trimmed state, by site then rule order.
 
-    ``padded`` is a trimmed state's values with one zero added at each end,
-    and ``padded[0]`` is cell ``lo``.
-    """
-    vals = list(padded)
-    vals[i] -= 1
-    vals[i + step] += 1
-    # only the source cell can become zero: at most two zeros to trim at either end
-    start = 0 if vals[0] else 1 if vals[1] else 2
-    stop = len(vals) - (0 if vals[-1] else 1 if vals[-2] else 2)
-    return tuple(vals[start:stop]), lo + start
-
-
-def _successors(values: tuple[int, ...], offset: int, policy: RulesetPolicy):
-    """(move, values, offset) of every move applicable to a trimmed state, by site then rule order.
-
-    Each image is given by its trimmed values and offset; no ``Configuration``
-    is built.  A move from an inner cell neither empties an end cell nor leaves
-    the support, so its image is ``values`` with two cells changed, at the same
-    offset; only the end cells' images are spliced by ``_splice``.  The moves
-    are interned in the policy: every image of a rule at a site shares one
-    ``SequentialMove``.
-    """
-    padded = (0, *values, 0)
-    lo = offset - 1  # lattice cell of padded[0]
-    last = len(values)  # padded index of the last cell
-    table, interned = policy._moves, policy._interned
-    out = []
-    for i, triple in enumerate(zip(padded, padded[1:], padded[2:]), 1):
-        moves = table.get(triple)
-        if moves is None:
-            moves = _moves_at(triple, policy)
-        for rule, step in moves:
-            move = interned.get((rule, lo + i))
-            if move is None:
-                move = interned[rule, lo + i] = SequentialMove(rule, lo + i)
-            if 1 < i < last:
-                vals = list(values)
-                vals[i - 1] -= 1
-                vals[i - 1 + step] += 1
-                out.append((move, tuple(vals), offset))
-            else:
-                out.append((move, *_splice(padded, lo, i, step)))
-    return out
-
-
-def _predecessors(values: tuple[int, ...], offset: int, policy: RulesetPolicy):
-    """(values, offset) of every state with an applicable move onto the given trimmed state.
-
-    A move shifts one granule by one cell, so the candidates are the state
-    with one granule of a cell ``j`` shifted back to ``j - step``.  A
-    candidate is kept only if the move table lists a move with that step at
-    its source site, so ``_guard`` alone decides which moves fire.
+    With ``back``, of every move into it: the values and offset are then the
+    state before the move.  Each image is given by its trimmed values and
+    offset; no ``Configuration`` is built.  One lookup per ``(left, mid,
+    right)`` triple of the zero-padded values, in the forward or the backward
+    table, gives which cells lose and gain a granule.  When an inner cell loses
+    it, no cell empties at an end or lies off the support, so the image is
+    ``values`` with two cells changed, at the same offset; every other image is
+    spliced from the padded values and re-trimmed.  The moves are interned in
+    the policy: every image of a rule at a site shares one ``SequentialMove``.
     """
     padded = (0, 0, *values, 0, 0)
-    lo = offset - 2  # lattice cell of padded[0]
-    table = policy._moves
+    last = len(values) - 1  # i indexes values: the cells from 1 to last - 1 are inner
+    first = -1 if back else 0  # a move fires from the support; backward its source may lie one off
+    triples = zip(padded[first + 1 :], padded[first + 2 : last + 3 - first], padded[first + 3 :])
+    table, interned = policy._back if back else policy._moves, policy._interned
     out = []
-    for j in range(2, len(padded) - 2):
-        if not padded[j]:
-            continue
-        # the candidate's (left, mid, right) at its source j - step, which holds the granule
-        for step, triple in (
-            (1, (padded[j - 2], padded[j - 1] + 1, padded[j] - 1)),
-            (-1, (padded[j] - 1, padded[j + 1] + 1, padded[j + 2])),
-        ):
-            moves = table.get(triple)
-            if moves is None:
-                moves = _moves_at(triple, policy)
-            if any(s == step for _, s in moves):
+    for i, triple in enumerate(triples, first):
+        moves = table.get(triple)
+        if moves is None:
+            moves = _moves_at(triple, policy, back)
+        for rule, lose, gain in moves:
+            move = interned.get((rule, offset + i))
+            if move is None:
+                move = interned[rule, offset + i] = SequentialMove(rule, offset + i)
+            lose += i
+            if 0 < lose < last:  # nothing to trim, and the offset stays
+                vals = list(values)
+                vals[lose] -= 1
+                vals[i + gain] += 1
+                out.append((move, tuple(vals), offset))
+            else:
                 vals = list(padded)
-                vals[j - step] += 1
-                vals[j] -= 1
-                # the source may sit one cell off the support, and cell j may empty at an end
-                start = 1 if vals[1] else 2 if vals[2] else 3
-                stop = len(vals) - (1 if vals[-2] else 2 if vals[-3] else 3)
-                out.append((tuple(vals[start:stop]), lo + start))
+                vals[lose + 2] -= 1
+                vals[i + gain + 2] += 1
+                # the losing cell may empty at an end, and the gaining one lie just off the support
+                head = 1 if vals[1] else 2 if vals[2] else 3
+                tail = len(vals) - (1 if vals[-2] else 2 if vals[-3] else 3)
+                out.append((move, tuple(vals[head:tail]), offset - 2 + head))
     return out
 
 
 def applicable_moves(c: Configuration, policy: RulesetPolicy) -> list[SequentialMove]:
     """All moves whose guards hold, ascending by site then rule order."""
-    return [move for move, _, _ in _successors(c.values, c.offset, policy)]
+    return [move for move, _, _ in _images(c.values, c.offset, policy)]
 
 
 def apply_move(
@@ -246,14 +220,17 @@ def apply_move(
     policy in force to also enforce its conventions.
     """
     padded = (0, *c.values, 0)
-    lo = c.offset - 1  # lattice cell of padded[0]
-    i = move.site - lo
+    i = move.site - c.offset + 1
     # the move's own guard, whether its rule is enabled or not; every guard needs a
     # granule at the site, so a site off the support never applies
     if 0 < i < len(padded) - 1 and _guard(
         move.rule, *padded[i - 1 : i + 2], _NO_CONVENTIONS if policy is None else policy
     ):
-        return Configuration._of_ints(*_splice(padded, lo, i, _STEP[move.rule]))
+        # a guard that holds under a policy's conventions holds without them, so the pass
+        # under _NO_CONVENTIONS, which enables every rule, lists the move and its image
+        for listed, values, offset in _images(c.values, c.offset, _NO_CONVENTIONS):
+            if listed == move:
+                return Configuration._of_ints(values, offset)
     raise InapplicableMove(f"{move} does not apply to {c}")
 
 
@@ -301,7 +278,7 @@ def explore_digraph(
     truncated = False
     for cur in nodes:  # the list grows as nodes are discovered: a FIFO queue
         level = levels[cur]
-        successors = _successors(cur.values, cur.offset, policy)
+        successors = _images(cur.values, cur.offset, policy)
         if not successors:
             equilibria.append(cur)
         elif depth_cap is not None and level >= depth_cap:
@@ -534,8 +511,9 @@ def decompose_parallel_transition(
     distance on the line (Vallender 1973); a move changes it by exactly 1, so a
     path has at least Φ = Φ(source, target) moves, of Φ's parity.  Each round
     is a level-synchronous meet in the middle (Pohl 1971) over raw ``(values,
-    offset)`` keys: it expands the smaller frontier by a level, forward by
-    ``_successors`` or backward by ``_predecessors``, and stops at the first
+    offset)`` keys: it expands the smaller frontier by a level, forward or
+    backward by ``_images``, each state's images by site then rule order (a
+    predecessor by the site of the move out of it), and stops at the first
     state it reaches on the other side or when its forward plus backward
     levels reach its bound L.  A state g moves from its end is stored only if
     g plus its Φ to the other end is at most L.  Φ is consistent (Hart, Nilsson
@@ -583,12 +561,9 @@ def decompose_parallel_transition(
             level = depths[side] + 1
             room = None if bound is None else bound - level  # the largest Φ a new state may have
             new = []
-            for values, offset in fronts[side]:
-                if side:
-                    images = _predecessors(values, offset, policy)
-                else:
-                    images = [(v, o) for _, v, o in _successors(values, offset, policy)]
-                for key in images:
+            for state in fronts[side]:
+                for _, values, offset in _images(*state, policy, side):
+                    key = values, offset
                     if key in other:
                         # after each complete level the sides are disjoint, and every state of a
                         # geodesic is on them at its level: this first meet gives the length
@@ -610,8 +585,9 @@ def decompose_parallel_transition(
             return DecompositionResult(False, (), stored, True, None)
         # a side's closure is exhausted when its frontier empties, or has no move off it,
         # in a round that pruned nothing on that side
-        if not pruned[0] and not any(_successors(*key, policy) for key in fronts[0]) or (
-            not pruned[1] and not any(_predecessors(*key, policy) for key in fronts[1])
+        if any(
+            not pruned[side] and not any(_images(*key, policy, side) for key in fronts[side])
+            for side in (0, 1)
         ):
             return DecompositionResult(False, (), stored, False, None)
         if bound is None or bound == depth_cap and not any(pruned):
@@ -660,7 +636,7 @@ def _geodesics(sides, front, depths, policy: RulesetPolicy, max_paths: int | Non
     the level-a states with a move into backward level b and, level by level
     below them, their forward parents; past level a each move steps down one
     backward level.  The DAG of those links is built breadth first from the
-    source, each node's links in ``_successors`` order, so the walk lists the
+    source, each node's links in ``_images`` order, so the walk lists the
     paths in lexicographic move order; every link climbs one level, so the
     count sums each node's in-links in BFS order.  ``max_paths=0`` builds no DAG
     and gives ``((), None)``.
@@ -672,11 +648,12 @@ def _geodesics(sides, front, depths, policy: RulesetPolicy, max_paths: int | Non
     layer = [
         key
         for key in front
-        if any(rest.get((v, o)) == b for _, v, o in _successors(*key, policy))
+        if any(rest.get((v, o)) == b for _, v, o in _images(*key, policy))
     ]
     rest.update(dict.fromkeys(layer, b + 1))
     for g in range(a - 1, -1, -1):
-        layer = {p for key in layer for p in _predecessors(*key, policy) if fwd.get(p) == g}
+        images = (image for key in layer for image in _images(*key, policy, True))
+        layer = {(v, o) for _, v, o in images if fwd.get((v, o)) == g}
         rest.update(dict.fromkeys(layer, a + b + 1 - g))
     start, goal = next(iter(fwd)), next(iter(rest))  # each side's first key is its end
     index = {start: 0}
@@ -685,7 +662,7 @@ def _geodesics(sides, front, depths, policy: RulesetPolicy, max_paths: int | Non
     for key in keys:  # the list grows as the BFS discovers nodes
         left = rest[key] - 1
         out = []
-        for move, values, offset in _successors(*key, policy):
+        for move, values, offset in _images(*key, policy):
             succ = (values, offset)
             if rest.get(succ) == left:
                 i = index.get(succ)

@@ -9,6 +9,8 @@ hashing a state at each step.  ``budget_exceeded`` here is set whenever the dept
 non-empty frontier, even one of equilibria only.  The module-level
 ``direction`` stands in for the ``MoveRule.direction`` property the guard read,
 and ``reference_rules.cells`` for the iteration over a ``LatticeWindow``.
+``predecessors`` undoes each move by hand and keeps the states ``apply_move``
+takes back to the given one.
 ``potential`` is Φ, the lower bound on path lengths that prunes the
 library's two-sided search, summed cell by cell from running sums.
 """
@@ -88,6 +90,36 @@ def apply_move(
     vals[src - lo] -= 1
     vals[dst - lo] += 1
     return Configuration(vals, lo)
+
+
+def predecessors(
+    c: Configuration, policy: RulesetPolicy
+) -> list[tuple[SequentialMove, Configuration]]:
+    """(move, state) of every state that an enabled move takes to ``c``, by site then rule order.
+
+    Each cell from one left of the support to one right of it, as a source,
+    takes a granule back from each rule's destination; the state so made is
+    kept when ``apply_move`` maps it to ``c`` under the policy.
+    """
+    if c.is_zero:
+        return []
+    out = []
+    for x in range(c.support.lo - 1, c.support.hi + 2):
+        for rule in RULE_ORDER:
+            dst = x + direction(rule)
+            if rule not in policy.enabled or c.value_at(dst) < 1:
+                continue
+            lo, hi = min(c.support.lo, x), max(c.support.hi, x)
+            vals = c.window_values(lo, hi)
+            vals[x - lo] += 1
+            vals[dst - lo] -= 1
+            before, move = Configuration(vals, lo), SequentialMove(rule, x)
+            try:
+                if apply_move(before, move, policy) == c:
+                    out.append((move, before))
+            except InapplicableMove:
+                pass
+    return out
 
 
 def explore_digraph(

@@ -231,18 +231,18 @@ class TestVerifySuites:
         ids=["untrimmed", "negative-cell", "extra-granule"],
     )
     def test_sequential_conservation_fails_on_one_corrupt_image(self, monkeypatch, corrupt):
-        real = analysis._successors
+        real = analysis._images
         corrupted = []
 
-        def successors(values, offset, policy):
-            out = real(values, offset, policy)
+        def images(values, offset, policy, back=False):
+            out = real(values, offset, policy, back)
             if out and not corrupted and len(out[0][1]) >= 2:
                 move, values, offset = out[0]
                 out[0] = (move, corrupt(values), offset)
                 corrupted.append(out[0])
             return out
 
-        monkeypatch.setattr(analysis, "_successors", successors)
+        monkeypatch.setattr(analysis, "_images", images)
         results = {check.name: check.passed for check in verify_conservation(seed=0, cases=50)}
         assert len(corrupted) == 1
         assert results == {

@@ -16,7 +16,13 @@ import pytest
 from conftest import RECORDS, UNHASHABLE_RECORDS, cfg
 from sandlab.pile import _Frozen
 from sandlab.rules import fp_rule
-from sandlab.sequential import MoveRule, RulesetPolicy, SequentialMove, explore_digraph
+from sandlab.sequential import (
+    MoveRule,
+    RulesetPolicy,
+    SequentialMove,
+    decompose_parallel_transition,
+    explore_digraph,
+)
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -100,11 +106,13 @@ def test_pickle_and_copy_round_trip(name):
 
 def test_a_policy_compares_on_its_four_fields_not_on_its_caches():
     used = RulesetPolicy(enabled=frozenset({MoveRule.VR_D}))
-    explore_digraph(cfg("5,4,2,1"), used)  # fills the move table and the interned moves
-    assert used._moves and used._interned
+    explore_digraph(cfg("5,4,2,1"), used)  # fills the forward table and the interned moves
+    decompose_parallel_transition(cfg("5,4,2,1"), cfg("4,4,2,1,1"), used)  # and the backward one
+    assert used._moves and used._back and used._interned
     fresh = RulesetPolicy(frozenset({MoveRule.VR_D}), True, False, 1)
     assert fresh == used and hash(fresh) == hash(used)
-    assert pickle.loads(pickle.dumps(used))._moves == {}
+    clone = pickle.loads(pickle.dumps(used))
+    assert clone._moves == clone._back == {}
     for other in (
         RulesetPolicy(enabled=frozenset({MoveRule.VR_S})),
         RulesetPolicy(enabled=frozenset({MoveRule.VR_D}), hr_convention=False),

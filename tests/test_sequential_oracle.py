@@ -2,7 +2,8 @@
 
 Digraphs must agree in nodes, edges and their order, levels and their order,
 equilibria and flags; the single-move API in its move lists, images and
-``InapplicableMove`` raises; path lists in their paths and order, under every
+``InapplicableMove`` raises; the backward images in their moves, states and
+order; path lists in their paths and order, under every
 cut; decompositions, wherever both searches are conclusive, in their verdict,
 depth, count and geodesics, which the two-sided search lists in move order;
 and every shortest length is at least the reference's Φ, of its parity.
@@ -19,10 +20,10 @@ from sandlab.sequential import (
     RULE_ORDER,
     VR_FAMILY,
     InapplicableMove,
+    MoveRule,
     RulesetPolicy,
     SequentialMove,
-    _predecessors,
-    _successors,
+    _images,
     applicable_moves,
     apply_move,
     count_paths,
@@ -109,7 +110,7 @@ def test_successors_at_the_support_ends_match_the_reference(policy):
         images = [
             (move, ref.apply_move(c, move, policy)) for move in ref.applicable_moves(c, policy)
         ]
-        assert _successors(c.values, c.offset, policy) == [
+        assert _images(c.values, c.offset, policy) == [
             (move, image.values, image.offset) for move, image in images
         ]
         for _, image in images:
@@ -226,14 +227,56 @@ def test_enumerate_paths_matches_the_reference_through_cycles(quotient):
 @given(configurations, all_policies)
 def test_predecessors_invert_successors(c, policy):
     key = (c.values, c.offset)
-    for _, values, offset in _successors(c.values, c.offset, policy):
-        assert key in _predecessors(values, offset, policy)
-    predecessors = _predecessors(c.values, c.offset, policy)
+    for _, values, offset in _images(c.values, c.offset, policy):
+        assert key in [(v, o) for _, v, o in _images(values, offset, policy, back=True)]
+    predecessors = [(v, o) for _, v, o in _images(c.values, c.offset, policy, back=True)]
     assert len(set(predecessors)) == len(predecessors)
     for values, offset in predecessors:
         p = Configuration(values, offset)
         assert (p.values, p.offset) == (values, offset)  # trimmed, as the search keys states
-        assert key in [(v, o) for _, v, o in _successors(values, offset, policy)]
+        assert key in [(v, o) for _, v, o in _images(values, offset, policy)]
+
+
+def assert_predecessors_match_the_reference(c, policy):
+    """The backward images of ``c`` are the reference's predecessors: moves, states and order."""
+    expected = [(move, p.values, p.offset) for move, p in ref.predecessors(c, policy)]
+    assert _images(c.values, c.offset, policy, back=True) == expected
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(configurations, all_policies)
+def test_predecessors_match_the_reference(c, policy):
+    assert_predecessors_match_the_reference(c, policy)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [RulesetPolicy(hr_convention=False), RulesetPolicy()],
+    ids=["no-hr-convention", "default"],
+)
+def test_predecessors_at_the_support_ends_match_the_reference(policy):
+    reached = set()
+    for c in END_CASES:
+        for _, values, offset in assert_predecessors_match_the_reference(c, policy):
+            lo, hi = offset, offset + len(values)
+            reached.update(
+                kind
+                for kind, holds in (
+                    ("source off left", lo < c.offset),
+                    ("first emptied", lo > c.offset),
+                    ("source off right", hi > c.offset + len(c.values)),
+                    ("last emptied", hi < c.offset + len(c.values)),
+                )
+                if holds
+            )
+    assert reached == {"source off left", "first emptied", "source off right", "last emptied"}
+
+
+def test_a_move_is_undone_only_from_a_destination_that_holds_a_granule():
+    # undone, VRd from cell 1 would leave -1 at cell 2: 2,1,-1 is no state
+    vr_d = RulesetPolicy(frozenset({MoveRule.VR_D}))
+    assert assert_predecessors_match_the_reference(cfg("2"), vr_d) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -269,7 +312,7 @@ def test_policies_that_differ_in_conventions_alone_keep_their_own_moves(
         for policy in policies:
             moves = ref.applicable_moves(c, policy)
             assert applicable_moves(c, policy) == moves
-            successors = _successors(c.values, c.offset, policy)
+            successors = _images(c.values, c.offset, policy)
             images = [(m, Configuration(v, offset)) for m, v, offset in successors]
             assert images == [(m, ref.apply_move(c, m, policy)) for m in moves]
             for site in range(lo - 1, hi + 2):
