@@ -206,29 +206,19 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _randbelow(getrandbits, n: int) -> int:
-    """CPython's draw under ``rng.randint(0, n - 1)``: ``n.bit_length()`` bits until below n.
+def _draws(getrandbits, bounds) -> list[int]:
+    """CPython's draw under ``rng.randint(0, n - 1)`` for each n of ``bounds`` in turn.
 
-    The same int from the same stream, without ``randint``'s argument handling; an empty range
-    raises ValueError, as ``randint`` does.
+    Each takes as many bits as n has until the value is below n: the same ints from the same
+    stream, without ``randint``'s argument handling.  An empty range raises ValueError when its
+    turn comes, after the earlier draws, as ``randint`` does.
     """
-    if n < 1:
-        raise ValueError(f"empty range for a draw below {n}")
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _draws(getrandbits, n: int, count: int) -> list[int]:
-    """``count`` successive ``_randbelow(getrandbits, n)`` draws, with ``k`` computed once."""
-    if n < 1:
-        raise ValueError(f"empty range for a draw below {n}")
-    k = n.bit_length()
     out = []
     append = out.append
-    for _ in range(count):
+    for n in bounds:
+        if n < 1:
+            raise ValueError(f"empty range for a draw below {n}")
+        k = n.bit_length()
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
@@ -245,8 +235,10 @@ def random_configuration(
     """randint(1, max_support) cells of randint(0, max_value), from cell randint(*offset_range)."""
     bits = rng.getrandbits
     lo, hi = offset_range
-    cells = _draws(bits, max_value + 1, 1 + _randbelow(bits, max_support))
-    return Configuration._of_ints(cells, lo + _randbelow(bits, hi - lo + 1))
+    width = 1 + _draws(bits, (max_support,))[0]
+    cells = _draws(bits, [max_value + 1] * width + [hi - lo + 1])
+    offset = lo + cells.pop()
+    return Configuration._of_ints(cells, offset)
 
 
 def random_fp_rule(rng: random.Random, max_offset: int = 6, max_payout: int = 4) -> RuleSpec:
@@ -257,22 +249,16 @@ def random_fp_rule(rng: random.Random, max_offset: int = 6, max_payout: int = 4)
     of chosen indices) or one smaller than the sample is left to ``rng.sample`` itself.
     """
     bits = rng.getrandbits
-    size = 1 + _randbelow(bits, 5)
+    size = 1 + _draws(bits, (5,))[0]
     pool = [*range(-max_offset, 0), *range(1, max_offset + 1)]
     n = len(pool)
-    if not size <= n <= 21:
-        offsets = rng.sample(pool, size)
-    else:
-        offsets = []
-        for m in range(n, n - size, -1):  # m = n - i unchosen items left
-            k = m.bit_length()
-            j = bits(k)
-            while j >= m:
-                j = bits(k)
-            offsets.append(pool[j])
-            pool[j] = pool[m - 1]
-    payouts = [1 + r for r in _draws(bits, max_payout, size)]
-    return fp_rule(tuple(offsets), tuple(payouts))
+    left = range(n, n - size, -1) if size <= n <= 21 else ()  # items unchosen before each pick
+    offsets = [] if left else rng.sample(pool, size)
+    drawn = _draws(bits, [*left, *[max_payout] * size])
+    for m, j in zip(left, drawn):
+        offsets.append(pool[j])
+        pool[j] = pool[m - 1]
+    return fp_rule(offsets, [1 + r for r in drawn[len(left):]])
 
 
 def verify_conservation(seed: int = 0, cases: int = 10_000) -> list[CheckResult]:

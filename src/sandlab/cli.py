@@ -329,6 +329,10 @@ def cmd_verify(args) -> int:
         seed = args.seed if env_seed is None else _decimal(env_seed.strip())
     except ValueError:
         raise ValueError(f"SANDLAB_SEED must be an integer, got {env_seed!r}") from None
+    if seed is not None and seed < 0:
+        # random.Random seeds with abs(seed), so -1 would run the cases of 1
+        source = "--seed" if env_seed is None else "SANDLAB_SEED"
+        raise ValueError(f"{source} must be non-negative, got {seed}")
     seeded = args.suite in ("conservation", "nn", "commutation")
     if seed is None:
         seed = 0

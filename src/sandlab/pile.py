@@ -258,7 +258,7 @@ def _parse_cells(text: str, signed: bool) -> tuple[list[int], int]:
             if origin_at is not None:
                 raise MultipleOrigins("second origin marker '|'", bar)
             if piece.count("|") > 1:
-                raise MultipleOrigins("second origin marker '|'", pos + piece.rindex("|"))
+                raise MultipleOrigins("second origin marker '|'", text.index("|", bar + 1))
             left, right = piece.split("|")
             if left:
                 before.append(_parse_int(left, pos, signed))

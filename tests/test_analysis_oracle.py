@@ -1,13 +1,13 @@
 """The case drawers of ``analysis`` against the ``randint`` drawers they replaced.
 
 ``random_configuration`` and ``random_fp_rule`` draw through
-``analysis._randbelow`` and ``analysis._draws``, which repeat what CPython's
-``Random.randint`` does underneath, and ``random_fp_rule`` picks its offsets
-with the pool method of ``Random.sample``.  The ``randint`` drawers below are
-the old implementation, kept as the oracle: every test asserts the same cases,
-the same rules and the same generator state afterwards, so a change in how
-``randint`` or ``sample`` draws fails here instead of silently changing the
-cases the ``verify`` suites test.
+``analysis._draws``, which repeats what CPython's ``Random.randint`` does
+underneath, once for each bound it is given, and ``random_fp_rule`` picks its
+offsets with the pool method of ``Random.sample``.  The ``randint`` drawers
+below are the old implementation, kept as the oracle: every test asserts the
+same cases, the same rules and the same generator state afterwards, so a
+change in how ``randint`` or ``sample`` draws fails here instead of silently
+changing the cases the ``verify`` suites test.
 """
 
 import random
@@ -16,7 +16,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sandlab.analysis import random_configuration, random_fp_rule
+from sandlab.analysis import _draws, random_configuration, random_fp_rule
 from sandlab.pile import Configuration
 from sandlab.rules import fp_rule
 
@@ -94,6 +94,38 @@ def test_fp_rules_match_randint_at_any_bounds(seed, max_offset, max_payout):
     bounds = dict(max_offset=max_offset, max_payout=max_payout)
     for _ in range(5):
         assert_same_rule(random_fp_rule(rng, **bounds), randint_fp_rule(oracle, **bounds))
+    assert_same_state_after(rng, oracle)
+
+
+# a bound n takes n.bit_length() bits, so 1, 2, 2^k and 2^k + 1 reject about half their draws
+mixed_bounds = st.lists(
+    st.one_of(
+        st.sampled_from([1, 2]),
+        st.integers(0, 70).flatmap(lambda k: st.sampled_from([2**k, 2**k + 1])),
+        st.integers(1, 2**80),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, mixed_bounds)
+def test_draws_are_successive_randint_draws(seed, bounds):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    assert _draws(rng.getrandbits, bounds) == [oracle.randint(0, n - 1) for n in bounds]
+    assert_same_state_after(rng, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, mixed_bounds, st.sampled_from([0, -1, -(2**70)]), mixed_bounds)
+def test_an_empty_bound_raises_after_the_draws_before_it(seed, before, empty, after):
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for n in before:
+        oracle.randint(0, n - 1)
+    with pytest.raises(ValueError):
+        oracle.randint(0, empty - 1)
+    with pytest.raises(ValueError, match="empty range"):
+        _draws(rng.getrandbits, [*before, empty, *after])
     assert_same_state_after(rng, oracle)
 
 

@@ -706,10 +706,22 @@ class TestVerifyCommand:
         assert err == f"error: SANDLAB_SEED must be an integer, got {value!r}\n"
 
     def test_an_env_seed_with_a_sign_and_spaces_is_read(self, capsys, monkeypatch):
-        monkeypatch.setenv("SANDLAB_SEED", " -42 ")
+        monkeypatch.setenv("SANDLAB_SEED", " +42 ")
         code, out, _ = run_cli(capsys, "verify", "--suite", "commutation", "--n-max", "5")
         assert code == 0
-        assert out.startswith("suite=commutation seed=-42\n")
+        assert out.startswith("suite=commutation seed=42\n")
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_a_negative_seed_is_rejected(self, capsys, monkeypatch, via):
+        # random.Random(-1) draws the cases of random.Random(1), under a header saying seed=-1
+        if via == "env":
+            monkeypatch.setenv("SANDLAB_SEED", "-1")
+            code, out, err = run_cli(capsys, "verify", "--suite", "nn", "--n-max", "5")
+            assert err == "error: SANDLAB_SEED must be non-negative, got -1\n"
+        else:
+            code, out, err = run_cli(capsys, "verify", "--suite", "nn", "--n-max", "5", "--seed=-1")
+            assert err == "error: --seed must be non-negative, got -1\n"
+        assert (code, out) == (1, "")
 
     def test_failing_suite_exits_six(self, capsys, monkeypatch):
         def broken(seed=0, cases=0):

@@ -187,6 +187,13 @@ class TestLiterals:
             parse_literal("1|2|3")
         with pytest.raises(MultipleOrigins):
             parse_literal("1|2,3|4")
+        # the error names the second marker, not the last
+        with pytest.raises(MultipleOrigins) as error:
+            parse_literal("1|2|3|4")
+        assert error.value.position == 3
+        with pytest.raises(MultipleOrigins) as error:
+            parse_literal("0,1|2|3|4")
+        assert error.value.position == 5
 
     @pytest.mark.parametrize(
         "text, position",
