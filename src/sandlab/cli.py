@@ -22,7 +22,7 @@ import sys
 from itertools import islice
 from operator import itemgetter
 
-from .analysis import VERIFY_SUITES
+from .analysis import SAMPLED_SUITES, VERIFY_SUITES
 from .pile import (
     LatticeWindow,
     NegativeValue,
@@ -333,21 +333,15 @@ def cmd_verify(args) -> int:
         # random.Random seeds with abs(seed), so -1 would run the cases of 1
         source = "--seed" if env_seed is None else "SANDLAB_SEED"
         raise ValueError(f"{source} must be non-negative, got {seed}")
-    seeded = args.suite in ("conservation", "nn", "commutation")
+    sampled = args.suite in SAMPLED_SUITES
     if seed is None:
         seed = 0
-    elif not seeded:
+    elif not sampled:
         # the header still echoes the seed, so a run of every suite reads alike
         print(f"note: suite {args.suite} is exhaustive and ignores the seed", file=sys.stderr)
-    kwargs = {}
-    if seeded:
-        kwargs["seed"] = seed
-        if args.n_max is not None:
-            kwargs["cases"] = args.n_max
-    elif args.n_max is not None:
-        kwargs["n_max"] = args.n_max
     print(f"suite={args.suite} seed={seed}")
-    results = suite(**kwargs)
+    size = () if args.n_max is None else (args.n_max,)  # every suite's first parameter
+    results = suite(*size, seed=seed) if sampled else suite(*size)
     failed = False
     for check in results:
         status = "PASS" if check.passed else "FAIL"

@@ -81,6 +81,7 @@ class LatticeWindow(_Frozen):
     __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo: int, hi: int):
+        lo, hi = operator.index(lo), operator.index(hi)  # integers only: 0.5 raises
         if lo > hi:
             raise ValueError(f"empty window: lo={lo} > hi={hi}")
         self._init(lo, hi)

@@ -68,6 +68,8 @@ class RuleSpec(_Frozen):
     __slots__ = (*_fields, "theta", "radius", "_weights")
 
     def __init__(self, kind: RuleKind, neighborhood=(-1, 1), distribution=None):
+        if not isinstance(kind, RuleKind):
+            raise TypeError(f"kind must be a RuleKind member, got {kind!r}")
         # operator.index accepts integers only: 1.7 raises instead of becoming 1
         hood = tuple(map(operator.index, neighborhood))
         if not hood:

@@ -59,6 +59,9 @@ class SequentialMove(_Frozen):
     __slots__ = (*_fields, "_hash")
 
     def __init__(self, rule: MoveRule, site: int):
+        if not isinstance(rule, MoveRule):
+            raise TypeError(f"rule must be a MoveRule member, got {rule!r}")
+        site = operator.index(site)  # integers only: a site of 0.0 raises instead of acting as 0
         # the hash is stored, as digraph edges hash their moves many times over: one int
         # per (rule, site), the same in every process, so a pickled copy keeps it
         self._init(rule, site, site * len(RULE_ORDER) + RULE_ORDER.index(rule))

@@ -723,6 +723,22 @@ class TestVerifyCommand:
             assert err == "error: --seed must be non-negative, got -1\n"
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize(
+        "suite, detail",
+        [
+            ("conservation", "PASS gk-conservation — 3 random configurations"),
+            ("nn", "PASS fp-non-negativity — 3 random rule/state pairs"),
+            ("commutation", "PASS transform-commutation — 3 configurations"),
+            ("shapes", "PASS gk-equilibrium-shapes — n <= 3"),
+            ("partitions", "PASS ordered-counts — recurrence cross-check, n <= 3"),
+        ],
+        ids=["conservation", "nn", "commutation", "shapes", "partitions"],
+    )
+    def test_n_max_reaches_every_suite_as_its_size(self, capsys, suite, detail):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", "3")
+        assert code == 0
+        assert detail in out.splitlines()
+
     def test_failing_suite_exits_six(self, capsys, monkeypatch):
         def broken(seed=0, cases=0):
             return [analysis.CheckResult("broken", False, "synthetic failure")]

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from conftest import RECORDS, UNHASHABLE_RECORDS, cfg
-from sandlab.pile import _Frozen
-from sandlab.rules import fp_rule
+from sandlab.pile import LatticeWindow, _Frozen
+from sandlab.rules import RuleSpec, fp_rule
 from sandlab.sequential import (
     MoveRule,
     RulesetPolicy,
@@ -127,6 +127,25 @@ def test_a_move_compares_on_rule_and_site_and_keeps_its_stored_hash():
     assert move == SequentialMove(rule=MoveRule.BT_S, site=-3)
     assert move != SequentialMove(MoveRule.BT_D, -3) and move != SequentialMove(MoveRule.BT_S, 3)
     assert hash(move) == -3 * len(MoveRule) + list(MoveRule).index(MoveRule.BT_S)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # kind 'gk' built a rule with theta 2 whose step died on a bare KeyError
+        lambda: RuleSpec("gk"),
+        # site 0.0 compared equal to site 0, printed VRd@0.0 and failed in apply_move
+        lambda: SequentialMove(MoveRule.VR_D, 0.0),
+        # a rule named by its token raised "tuple.index(x): x not in tuple"
+        lambda: SequentialMove("VRd", 0),
+        lambda: LatticeWindow(0.5, 2.0),
+        lambda: LatticeWindow(0, 2.0),
+    ],
+    ids=["rule-kind-str", "move-site-float", "move-rule-str", "window-lo-float", "window-hi-float"],
+)
+def test_a_field_of_the_wrong_type_is_rejected(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_slotted_records_equal_only_their_own_type():
