@@ -119,10 +119,10 @@ def nn_search(
     of one found this way.  An empty result certifies non-negativity within
     these bounds only.
     """
-    # operator.index accepts integers only: a radius of 3.5 raises instead of acting as 3
+    # operator.index accepts integers only: a radius of 3.5 or a bound of 2.5 raises
     if operator.index(window_radius) < 1:
         raise ValueError("window_radius must be positive")
-    if value_bound < 1:
+    if operator.index(value_bound) < 1:
         raise ValueError("value_bound must be positive")
     violations: list[NNViolation] = []
     for rule in rule_family:

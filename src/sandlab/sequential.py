@@ -319,32 +319,55 @@ def _check_caps(node_cap: int, depth_cap: int | None) -> None:
         raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
 
 
-def _numbered(d: TransitionDigraph):
-    """``{node: i}`` over ``d.nodes``, and the edges as ``(i, move, j)``.
+def _links(d: TransitionDigraph):
+    """``{node: i}`` over ``d.nodes``, each node's ``(move, j)`` links in edge order, and
+    ``reverse``: each node's ``i`` for every link ``i -> j`` into it.
 
-    It hashes each node and each edge end once; the path engines run on the indices after it.
+    One pass over the edges hashes each edge end once; the path engines run on the indices.
     """
     index = {node: i for i, node in enumerate(d.nodes)}
-    return index, [(index[a], move, index[b]) for a, move, b in d.edges]
+    links, reverse = [[] for _ in index], [[] for _ in index]
+    for a, move, b in d.edges:
+        i, j = index[a], index[b]
+        links[i].append((move, j))
+        reverse[j].append(i)
+    return index, links, reverse
 
 
-def _kahn(links: list[list]) -> list[int] | None:
-    """The nodes of ``links`` in a topological order, or None if they have a cycle.
+def _counts(links: list[list], start: int) -> list[int] | None:
+    """The number of paths from ``start`` to each node of ``links``, or None if they have a cycle.
 
-    ``links[i]`` lists node ``i``'s ``(label, next)`` pairs.  Kahn's
-    algorithm: a node is placed once all its in-links are.
+    ``links[i]`` lists node ``i``'s ``(label, next)`` pairs.  Kahn's algorithm places a node
+    once all its in-links are: its count is then final, and it is added along its out-links.
     """
     indegree = [0] * len(links)
     for out in links:
         for _, b in out:
             indegree[b] += 1
     order = [i for i, degree in enumerate(indegree) if not degree]
+    ways = [0] * len(links)
+    ways[start] = 1
     for a in order:  # the list grows as in-degrees drop to zero
         for _, b in links[a]:
+            ways[b] += ways[a]
             indegree[b] -= 1
             if not indegree[b]:
                 order.append(b)
-    return order if len(order) == len(links) else None
+    return ways if len(order) == len(links) else None
+
+
+def _reaching(reverse: list[list[int]], goal: int, mark: bytearray) -> bytearray:
+    """``mark`` with 2 set on ``goal`` and on every unmarked node that reaches it through
+    unmarked nodes: one backward sweep over ``reverse``, which a marked node stops.
+    """
+    mark[goal] = 2
+    frontier = [goal]
+    while frontier:
+        for prev in reverse[frontier.pop()]:
+            if not mark[prev]:
+                mark[prev] = 2
+                frontier.append(prev)
+    return mark
 
 
 def enumerate_paths(
@@ -359,28 +382,16 @@ def enumerate_paths(
     between two paths is polynomial in the digraph's size.
     """
     _check_max_paths(max_paths)
-    index, edges = _numbered(d)
+    index, links, reverse = _links(d)
     goal = index.get(target)
     if goal is None or max_paths == 0:
         return []
-    reverse: list[list[int]] = [[] for _ in index]
-    for a, _, b in edges:
-        reverse[b].append(a)
     # walk only through nodes that can still reach the target
-    ancestor = bytearray(len(index))
-    ancestor[goal] = 1
-    frontier = [goal]
-    while frontier:
-        for prev in reverse[frontier.pop()]:
-            if not ancestor[prev]:
-                ancestor[prev] = 1
-                frontier.append(prev)
-    links: list[list[tuple[SequentialMove, int]]] = [[] for _ in index]
-    for a, move, b in edges:
-        if ancestor[b]:
-            links[a].append((move, b))
-    acyclic = _kahn(links) is not None
-    return _walk_paths(index[d.root], goal, links, max_paths, None if acyclic else reverse)
+    ancestor = _reaching(reverse, goal, bytearray(len(index)))
+    links = [[(move, b) for move, b in out if ancestor[b]] for out in links]
+    start = index[d.root]
+    cyclic = _counts(links, start) is None  # the count is the acyclicity test
+    return _walk_paths(start, goal, links, max_paths, reverse if cyclic else None)
 
 
 def _walk_paths(start: int, goal: int, links: list[list], max_paths: int | None, reverse=None):
@@ -440,13 +451,7 @@ class _OffPath:
         for frame in self.stack:
             mark[frame[0]] = 1
         mark[node] = 1
-        mark[self.goal] = 2
-        frontier = [self.goal]
-        while frontier:
-            for prev in self.reverse[frontier.pop()]:
-                if not mark[prev]:
-                    mark[prev] = 2
-                    frontier.append(prev)
+        _reaching(self.reverse, self.goal, mark)
         return [((move,), b) for move, b in self.links[node] if mark[b] == 2]
 
 
@@ -473,18 +478,10 @@ def count_paths(d: TransitionDigraph, target: Configuration) -> int:
     Counting simple paths through cycles is #P-hard, so a digraph with a
     cycle raises ``ValueError``.  An absent target has no paths.
     """
-    index, edges = _numbered(d)
-    successors: list[list[tuple[SequentialMove, int]]] = [[] for _ in index]
-    for a, move, b in edges:
-        successors[a].append((move, b))
-    order = _kahn(successors)
-    if order is None:
+    index, links, _ = _links(d)
+    ways = _counts(links, index[d.root])
+    if ways is None:
         raise ValueError("the digraph has a cycle; paths are counted on acyclic digraphs only")
-    ways = [0] * len(index)
-    ways[index[d.root]] = 1
-    for a in order:  # a node's count is final once all its in-edges are counted
-        for _, b in successors[a]:
-            ways[b] += ways[a]
     goal = index.get(target)
     return 0 if goal is None else ways[goal]
 
@@ -640,9 +637,8 @@ def _geodesics(sides, front, depths, policy: RulesetPolicy, max_paths: int | Non
     below them, their forward parents; past level a each move steps down one
     backward level.  The DAG of those links is built breadth first from the
     source, each node's links in ``_images`` order, so the walk lists the
-    paths in lexicographic move order; every link climbs one level, so the
-    count sums each node's in-links in BFS order.  ``max_paths=0`` builds no DAG
-    and gives ``((), None)``.
+    paths in lexicographic move order, and ``_counts`` counts them over the
+    same links.  ``max_paths=0`` builds no DAG and gives ``((), None)``.
     """
     if max_paths == 0:
         return (), None
@@ -674,12 +670,8 @@ def _geodesics(sides, front, depths, policy: RulesetPolicy, max_paths: int | Non
                     keys.append(succ)
                 out.append((move, i))
         links.append(out)
-    ways = [1] + [0] * (len(keys) - 1)
-    for i, out in enumerate(links):  # a node's in-links all come from nodes before it
-        for _, j in out:
-            ways[j] += ways[i]
     end = index[goal]
-    return tuple(_walk_paths(0, end, links, max_paths)), ways[end]
+    return tuple(_walk_paths(0, end, links, max_paths)), _counts(links, 0)[end]
 
 
 NECESSITY_FAMILIES: tuple[tuple[str, frozenset[MoveRule]], ...] = (

@@ -130,6 +130,16 @@ class TestNNSearch:
         with pytest.raises(TypeError):
             nn_search([gen1g_rule((-3, 3))], 3.5, 6)
 
+    def test_a_bound_that_is_not_an_integer_raises_at_the_call(self):
+        # an empty family once returned [] for a bound of 2.5
+        with pytest.raises(TypeError):
+            nn_search([], 4, 2.5)
+        # with a rule, 8.5 once failed in range() after the family was read
+        rules = iter([gen1g_rule((-3, 3))])
+        with pytest.raises(TypeError):
+            nn_search(rules, 3, 8.5)
+        assert next(rules, None) is not None
+
 
 class TestConservationAudit:
     """Totals before and after one parallel step."""
@@ -250,6 +260,38 @@ class TestVerifySuites:
             "sequential-conservation": False,
             "const-g1-violation": True,
         }
+
+    def test_gk_conservation_fails_on_a_step_that_adds_a_granule(self, monkeypatch):
+        monkeypatch.setattr(analysis, "gk_step", lambda c: Configuration((*c.values, 1), c.offset))
+        results = {check.name: check.passed for check in verify_conservation(cases=50, seed=0)}
+        assert results == {
+            "gk-conservation": False,
+            "sequential-conservation": True,
+            "const-g1-violation": True,
+        }
+
+    @pytest.mark.parametrize(
+        "fake, failing",
+        [
+            # one ordered count short: only the recurrence cross-check sees it
+            (lambda n, c: (c.ordered - 1, c.generalized), {"ordered-counts"}),
+            # one generalized count over, still below (n+1)^n, from n = 1 on
+            (lambda n, c: (c.ordered, c.generalized + (n > 0)), {"generalized-counts"}),
+            # no generalized splittings at all: fewer than the ordered ones
+            (lambda n, c: (c.ordered, 0), {"generalized-counts", "inclusion-chain"}),
+        ],
+        ids=["ordered", "generalized", "inclusion-chain"],
+    )
+    def test_partitions_fail_on_wrong_counts(self, monkeypatch, fake, failing):
+        real = analysis.enumerate_partition_spaces
+
+        def counts(n):
+            return analysis.PartitionCounts(*fake(n, real(n)))
+
+        monkeypatch.setattr(analysis, "enumerate_partition_spaces", counts)
+        results = {check.name: check.passed for check in verify_partitions(6)}
+        assert {name for name, passed in results.items() if not passed} == failing
+        assert set(results) == {"ordered-counts", "generalized-counts", "inclusion-chain"}
 
     def test_suites_are_deterministic_under_a_seed(self):
         assert verify_conservation(seed=3, cases=200) == verify_conservation(

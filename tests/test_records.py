@@ -7,6 +7,7 @@ and triangular decompositions are slotted classes that check their input.
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,14 @@ from pathlib import Path
 import pytest
 
 from conftest import RECORDS, UNHASHABLE_RECORDS, cfg
+from sandlab.analysis import (
+    TriangularDecomposition,
+    enumerate_partition_spaces,
+    fp_equilibrium_shape,
+    nn_search,
+)
 from sandlab.pile import LatticeWindow, _Frozen
-from sandlab.rules import RuleSpec, fp_rule
+from sandlab.rules import RuleSpec, fp_rule, gen1g_rule
 from sandlab.sequential import (
     MoveRule,
     RulesetPolicy,
@@ -145,6 +152,36 @@ def test_a_move_compares_on_rule_and_site_and_keeps_its_stored_hash():
 )
 def test_a_field_of_the_wrong_type_is_rejected(build):
     with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RulesetPolicy(frozenset()), ValueError, "at least one rule"),
+        (lambda: RulesetPolicy(bt_height_floor=0), ValueError, "bt_height_floor must be at least"),
+        (lambda: RECORDS["NecessityReport"].result_for("BT"), KeyError, "'BT'"),
+        (lambda: TriangularDecomposition(5, 2, 1), ValueError, "does not reconstruct n"),
+        (lambda: TriangularDecomposition(6, 2, 3), ValueError, "0 <= k' <= k"),
+        (lambda: fp_equilibrium_shape(-1), ValueError, "k must be non-negative"),
+        (lambda: nn_search([gen1g_rule((-3, 3))], 0, 8), ValueError, "window_radius must be"),
+        (lambda: nn_search([gen1g_rule((-3, 3))], 4, 0), ValueError, "value_bound must be"),
+        (lambda: enumerate_partition_spaces(-1), ValueError, "n must be non-negative"),
+    ],
+    ids=[
+        "policy-no-rule",
+        "policy-floor-0",
+        "necessity-absent-family",
+        "triangular-sum",
+        "triangular-k-prime",
+        "fp-shape-negative",
+        "nn-radius-0",
+        "nn-bound-0",
+        "partitions-negative",
+    ],
+)
+def test_an_argument_check_raises_its_message(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         build()
 
 

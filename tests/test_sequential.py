@@ -831,6 +831,25 @@ class TestSpmOrbit:
         with pytest.raises(NotOrderedPartition):
             sequential_spm_orbit(cfg("1,2"))
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d._replace(node_cap_reached=True), "exploration truncated"),
+            (lambda d: d._replace(equilibria=()), "expected a unique equilibrium, found 0"),
+            # an edge from the root straight to the equilibrium, four levels up
+            (
+                lambda d: d._replace(edges=(*d.edges, (d.root, d.edges[0][1], d.equilibria[0]))),
+                "does not climb one BFS level",
+            ),
+        ],
+        ids=["truncated", "no-equilibrium", "level-skip"],
+    )
+    def test_a_digraph_that_breaks_an_invariant_raises(self, monkeypatch, corrupt, message):
+        real = sequential.explore_digraph
+        monkeypatch.setattr(sequential, "explore_digraph", lambda c0, p: corrupt(real(c0, p)))
+        with pytest.raises(RuntimeError, match=message):
+            sequential_spm_orbit(cfg("6"))
+
     def test_confluence_matches_the_parallel_fixed_point(self):
         rng = random.Random(7)
         for _ in range(25):
